@@ -137,44 +137,54 @@ Method choose_method_dist(const CscMatrix& a, const ApproxOptions& opts) {
   return Method::kRandQbEi;
 }
 
+RandQbOptions randqb_options(const ApproxOptions& opts) {
+  RandQbOptions o;
+  o.block_size = opts.block_size;
+  o.tau = opts.tau;
+  o.power = opts.power;
+  o.seed = opts.seed;
+  o.max_rank = opts.max_rank;
+  return o;
+}
+
+LuCrtpOptions lu_crtp_options(const ApproxOptions& opts) {
+  LuCrtpOptions o;
+  o.block_size = opts.block_size;
+  o.tau = opts.tau;
+  o.max_rank = opts.max_rank;
+  o.colamd = opts.colamd;
+  if (opts.method == Method::kIlutCrtp) o.threshold = ThresholdMode::kIlut;
+  return o;
+}
+
+RandUbvOptions randubv_options(const ApproxOptions& opts) {
+  RandUbvOptions o;
+  o.block_size = opts.block_size;
+  o.tau = opts.tau;
+  o.seed = opts.seed;
+  o.max_rank = opts.max_rank;
+  return o;
+}
+
 LowRankApprox approximate(const CscMatrix& a, const ApproxOptions& opts) {
-  const Method method = choose_method(a, opts);
+  ApproxOptions o = opts;
+  o.method = choose_method(a, opts);
 
   LowRankApprox out;
-  out.method_ = method;
+  out.method_ = o.method;
   out.rows_ = a.rows();
   out.cols_ = a.cols();
-  switch (method) {
-    case Method::kRandQbEi: {
-      RandQbOptions o;
-      o.block_size = opts.block_size;
-      o.tau = opts.tau;
-      o.power = opts.power;
-      o.seed = opts.seed;
-      o.max_rank = opts.max_rank;
-      out.result_ = randqb_ei(a, o);
+  switch (o.method) {
+    case Method::kRandQbEi:
+      out.result_ = randqb_ei(a, randqb_options(o));
       break;
-    }
     case Method::kLuCrtp:
-    case Method::kIlutCrtp: {
-      LuCrtpOptions o;
-      o.block_size = opts.block_size;
-      o.tau = opts.tau;
-      o.max_rank = opts.max_rank;
-      o.colamd = opts.colamd;
-      if (method == Method::kIlutCrtp) o.threshold = ThresholdMode::kIlut;
-      out.result_ = lu_crtp(a, o);
+    case Method::kIlutCrtp:
+      out.result_ = lu_crtp(a, lu_crtp_options(o));
       break;
-    }
-    case Method::kRandUbv: {
-      RandUbvOptions o;
-      o.block_size = opts.block_size;
-      o.tau = opts.tau;
-      o.seed = opts.seed;
-      o.max_rank = opts.max_rank;
-      out.result_ = randubv(a, o);
+    case Method::kRandUbv:
+      out.result_ = randubv(a, randubv_options(o));
       break;
-    }
     case Method::kAuto:
       break;  // unreachable
   }

@@ -64,8 +64,8 @@ class LowRankApprox {
   double indicator_rel() const;
   /// Stored values in the factors (memory footprint proxy).
   Index factor_values() const;
-  /// Per-iteration convergence telemetry (empty when the method ran with
-  /// record_trace disabled). Uniform across all methods.
+  /// Per-iteration convergence telemetry, uniform across all methods; its
+  /// time_seconds is the solve's process CPU time so far.
   const obs::TelemetrySeries& telemetry() const;
 
   /// y = (H W) x — apply the approximation to a vector.
@@ -95,6 +95,13 @@ class LowRankApprox {
   Index rows_ = 0, cols_ = 0;
   std::variant<RandQbResult, LuCrtpResult, RandUbvResult> result_;
 };
+
+/// The method-specific options for `opts` (fields the method ignores are
+/// dropped); lu_crtp_options selects ILUT_CRTP when opts.method is
+/// kIlutCrtp.
+RandQbOptions randqb_options(const ApproxOptions& opts);
+LuCrtpOptions lu_crtp_options(const ApproxOptions& opts);
+RandUbvOptions randubv_options(const ApproxOptions& opts);
 
 /// Resolve Method::kAuto against the matrix (identity for explicit methods).
 Method choose_method(const CscMatrix& a, const ApproxOptions& opts);

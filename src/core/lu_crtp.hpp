@@ -1,8 +1,9 @@
 #pragma once
 // Fixed-precision truncated LU with column/row tournament pivoting
 // (LU_CRTP, Algorithm 2 of the paper) and its incomplete thresholded
-// variant (ILUT_CRTP, Algorithm 3). Both are driven by the same engine;
-// ILUT_CRTP adds the dropping step and perturbation accounting.
+// variant (ILUT_CRTP, Algorithm 3). Both are driven by the same SPMD body
+// (core/lu_crtp_dist.cpp); ILUT_CRTP adds the dropping step and perturbation
+// accounting.
 
 #include <vector>
 
@@ -13,6 +14,8 @@
 
 namespace lra {
 
+/// Fill-reducing column preordering: none, COLAMD once before the first
+/// iteration, or COLAMD of every Schur complement (one rank only).
 enum class ColamdMode { kOff, kFirst, kEvery };
 enum class ThresholdMode { kNone, kIlut, kAggressive };
 
@@ -28,12 +31,6 @@ struct LuCrtpOptions {
   /// Threshold control phi (22); <= 0 selects phi = tau * |R^(1)(1,1)| as in
   /// the paper's experiments.
   double phi = 0.0;
-  /// Compute L21 from the panel's orthogonal factors (Q21 Q11^{-1}) instead
-  /// of A21 A11^{-1}; better conditioned but introduces extra small entries
-  /// (the stability alternative referenced in Sections II-B3 and VI-A).
-  bool stable_l = false;
-  /// Record the per-iteration trace (needed by Figs. 1-3).
-  bool record_trace = true;
 };
 
 struct LuCrtpResult {
@@ -61,14 +58,14 @@ struct LuCrtpResult {
   Index dropped_entries = 0;
   bool threshold_control_hit = false;  // line 10 of Algorithm 3 fired
 
-  IterationTrace trace;
   /// Per-iteration convergence telemetry incl. the Schur-complement fill
-  /// diagnostics (populated with the trace; virtual time for the
-  /// distributed engine, wall time for the sequential one).
+  /// diagnostics (rank 0's virtual clock).
   obs::TelemetrySeries telemetry;
 };
 
-/// Run LU_CRTP (or ILUT_CRTP when opts.threshold != kNone) on `a`.
+/// Run LU_CRTP (or ILUT_CRTP when opts.threshold != kNone) on `a`: the SPMD
+/// body of lu_crtp_dist() run as one rank (its kernels use the thread pool).
+/// @throws std::invalid_argument when opts.block_size < 1.
 LuCrtpResult lu_crtp(const CscMatrix& a, const LuCrtpOptions& opts);
 
 /// Exact approximation error ||P_r A P_c - L U||_F (dense verification;

@@ -1,22 +1,22 @@
 #include "core/lu_crtp_dist.hpp"
 
 #include <algorithm>
-#include <cassert>
 #include <cmath>
 #include <mutex>
 #include <numeric>
+#include <stdexcept>
 
+#include "core/spmd.hpp"
 #include "dense/lu.hpp"
 #include "dense/qr.hpp"
 #include "obs/prof/phase.hpp"
+#include "par/pool.hpp"
 #include "qrtp/qrtp_dist.hpp"
-#include "qrtp/tournament.hpp"
 #include "sparse/colamd.hpp"
 #include "sparse/coo.hpp"
 #include "sparse/drop.hpp"
 #include "sparse/ops.hpp"
 #include "sparse/spgemm.hpp"
-#include "support/workspace.hpp"
 
 namespace lra {
 namespace {
@@ -28,10 +28,37 @@ struct Triplet {
   double v;
 };
 
+// CSC matrix from L or U records: their (row, col) pairs are distinct and
+// their values nonzero, so sorting the records in place gives what
+// CooBuilder::build() would, without its copies of the records.
+CscMatrix to_csc(Index rows, Index cols, std::vector<Triplet> ts) {
+  std::sort(ts.begin(), ts.end(), [](const Triplet& x, const Triplet& y) {
+    return x.j != y.j ? x.j < y.j : x.i < y.i;
+  });
+  std::vector<Index> colptr(static_cast<std::size_t>(cols) + 1, 0);
+  std::vector<Index> rowind(ts.size());
+  std::vector<double> values(ts.size());
+  for (std::size_t t = 0; t < ts.size(); ++t) {
+    ++colptr[static_cast<std::size_t>(ts[t].j) + 1];
+    rowind[t] = ts[t].i;
+    values[t] = ts[t].v;
+  }
+  for (Index j = 0; j < cols; ++j) colptr[j + 1] += colptr[j];
+  return CscMatrix(rows, cols, std::move(colptr), std::move(rowind),
+                   std::move(values));
+}
+
 }  // namespace
 
 DistLuResult lu_crtp_dist(const CscMatrix& a, const LuCrtpOptions& opts,
                           int nranks, const SimOptions& sim) {
+  if (opts.block_size < 1)
+    throw std::invalid_argument("lu_crtp: block size must be >= 1, got " +
+                                std::to_string(opts.block_size));
+  if (opts.colamd == ColamdMode::kEvery && nranks > 1)
+    throw std::invalid_argument(
+        "lu_crtp: ColamdMode::kEvery reorders the whole Schur complement and "
+        "needs one rank, got " + std::to_string(nranks));
   DistLuResult out;
   const Index k = opts.block_size;
   const Index lmax = std::min(a.rows(), a.cols());
@@ -43,10 +70,12 @@ DistLuResult lu_crtp_dist(const CscMatrix& a, const LuCrtpOptions& opts,
   // applied as a preprocessing step" (paper, Section V); it is not charged
   // to the parallel runtime.
   Perm pre = identity_perm(a.cols());
-  CscMatrix a0 = a;
+  CscMatrix a0;
   if (opts.colamd != ColamdMode::kOff) {
     pre = colamd_postordered(a);
     a0 = permute_columns(a, pre);
+  } else {
+    a0 = a;
   }
 
   SimWorld world(nranks, sim);
@@ -56,49 +85,62 @@ DistLuResult lu_crtp_dist(const CscMatrix& a, const LuCrtpOptions& opts,
     const int p = ctx.size();
     const int r = ctx.rank();
 
-    // Cyclic block-column distribution (block width k).
-    std::vector<Index> my_cols;  // global (preprocessed) column ids
+    // Cyclic block-column distribution (block width k); one rank owns A^(1)
+    // whole. Column ids refer to the *preprocessed* column order and are
+    // folded back through `pre` at the end.
+    std::vector<Index> col_ids;  // global ids of the s_loc columns
     for (Index j = 0; j < a0.cols(); ++j)
-      if (static_cast<int>((j / std::max<Index>(1, k)) % p) == r)
-        my_cols.push_back(j);
-    CscMatrix s_loc = a0.select_columns(my_cols);
-    std::vector<Index> col_ids = my_cols;  // aligned with s_loc columns
+      if (static_cast<int>((j / k) % p) == r) col_ids.push_back(j);
+    CscMatrix s_loc = p == 1 ? std::move(a0) : a0.select_columns(col_ids);
 
     // Active rows: replicated compact space; row_ids[local] = global id.
-    std::vector<Index> row_ids(static_cast<std::size_t>(a0.rows()));
+    std::vector<Index> row_ids(static_cast<std::size_t>(a.rows()));
     std::iota(row_ids.begin(), row_ids.end(), Index{0});
 
-    std::vector<Index> sel_rows_global, sel_cols_global;
+    std::vector<Index> sel_rows_global, sel_cols_global;  // iteration order
     std::vector<Triplet> l_entries, u_entries;  // global coords (rank-local)
 
-    double mu = 0.0, phi = 0.0, t_acc_sq = 0.0, r11_first = 0.0;
+    double mu = 0.0, mu_first = 0.0, phi = 0.0, t_acc_sq = 0.0;
+    double r11_first = 0.0;
     bool threshold_enabled = opts.threshold != ThresholdMode::kNone;
     bool control_hit = false;
     Index dropped_total = 0;
 
     double indicator = anorm;
     Index rank_so_far = 0, iterations = 0;
-    Status status = Status::kMaxIterations;
-    std::vector<double> iter_vs, iter_ind;
-    std::vector<Index> iter_rank;
+    Status status = indicator <= target ? Status::kConverged  // zero-ish input
+                                        : Status::kMaxIterations;
+    obs::TelemetrySeries telemetry;
     std::vector<double> fill;
     std::vector<Index> schur_nnz, factor_nnz;
 
-    while (indicator >= target && rank_so_far < rank_budget) {
+    while (indicator > target && rank_so_far < rank_budget) {
       const Index m_a = static_cast<Index>(row_ids.size());
       const Index n_a = ctx.allreduce_sum(static_cast<double>(col_ids.size()));
-      Index kk = std::min({k, m_a, static_cast<Index>(n_a),
-                           rank_budget - rank_so_far});
+      Index kk = std::min({k, m_a, n_a, rank_budget - rank_so_far});
       if (kk <= 0) break;
 
-      // --- Column tournament (two-stage reduction tree) ---
-      CandidateColumns local;
-      local.global_index = col_ids;
-      local.cols = s_loc;
+      if (opts.colamd == ColamdMode::kEvery && iterations > 0) {
+        // Re-order the Schur complement (one rank only, see above).
+        ctx.compute("colamd", [&] {
+          const Perm ord = colamd_postordered(s_loc);
+          s_loc = permute_columns(s_loc, ord);
+          std::vector<Index> reordered(col_ids.size());
+          for (std::size_t j = 0; j < ord.size(); ++j)
+            reordered[j] = col_ids[static_cast<std::size_t>(ord[j])];
+          col_ids = std::move(reordered);
+        });
+      }
+
+      // --- Column tournament (line 5 of Algorithm 2; two-stage reduction
+      // tree). The candidates borrow s_loc for the duration of the call.
+      CandidateColumns local{col_ids, std::move(s_loc)};
       CandidateColumns winners = qr_tp_dist(ctx, local, kk, "col_qrtp");
+      s_loc = std::move(local.cols);
       kk = std::min<Index>(kk, winners.cols.cols());
 
-      // --- Panel QR on the owning process, Q broadcast ---
+      // --- Panel QR of the kk selected columns (line 6) on the owning
+      // process; Q broadcast ---
       std::vector<Index> live;
       Matrix q;  // live.size() x kk
       double r00 = 0.0;
@@ -107,6 +149,7 @@ DistLuResult lu_crtp_dist(const CscMatrix& a, const LuCrtpOptions& opts,
         if (r == 0) {
           ctx.compute("col_qr", [&] {
             live = winners.cols.nonempty_rows();
+            // Structurally rank-deficient panel: shrink the block.
             if (static_cast<Index>(live.size()) < kk)
               kk = static_cast<Index>(live.size());
             if (kk > 0) {
@@ -147,13 +190,11 @@ DistLuResult lu_crtp_dist(const CscMatrix& a, const LuCrtpOptions& opts,
         winners.cols = winners.cols.select_columns(keep);
       }
 
-      // --- Row tournament on row slices of Q ---
-      const Index nlive = static_cast<Index>(live.size());
-      const Index base = nlive / p, rem = nlive % p;
-      const Index lo = r * base + std::min<Index>(r, rem);
-      const Index hi = lo + base + (r < rem ? 1 : 0);
-      Matrix q_slice = q.block(lo, 0, hi - lo, kk);
-      std::vector<Index> slice_rows(live.begin() + lo, live.begin() + hi);
+      // --- Row tournament on row slices of Q^T (line 7) ---
+      const spmd::Slice qs = spmd::slice_of(static_cast<Index>(live.size()), p, r);
+      const Matrix q_slice = q.block(qs.begin, 0, qs.size(), kk);
+      const std::vector<Index> slice_rows(live.begin() + qs.begin,
+                                          live.begin() + qs.end);
       std::vector<Index> sel_rows =
           qr_tp_rows_dist(ctx, q_slice, slice_rows, kk, "row_qrtp");
       if (static_cast<Index>(sel_rows.size()) < kk) {
@@ -161,7 +202,7 @@ DistLuResult lu_crtp_dist(const CscMatrix& a, const LuCrtpOptions& opts,
         break;
       }
 
-      // --- Local row permutation / pivot split ("row_perm" in Fig. 5) ---
+      // --- Split around the pivot block (line 8; "row_perm" in Fig. 5) ---
       std::vector<Index> rest_rows;
       Matrix a11(kk, kk);
       CscMatrix a21;
@@ -196,24 +237,25 @@ DistLuResult lu_crtp_dist(const CscMatrix& a, const LuCrtpOptions& opts,
           a21 = b21.build();
         });
 
-        // Local columns (minus any winners we own) split into U12 and A22.
-        std::vector<char> is_winner_mine(col_ids.size(), 0);
-        for (std::size_t j = 0; j < col_ids.size(); ++j)
-          for (Index wid : winners.global_index)
-            if (col_ids[j] == wid) is_winner_mine[j] = 1;
+        // Local columns (minus any winners we own) split into U12 and A22,
+        // read in place from s_loc.
         ctx.compute("row_perm", [&] {
+          std::vector<Index> winner_ids = winners.global_index;
+          std::sort(winner_ids.begin(), winner_ids.end());
           std::vector<Index> keep;
+          keep.reserve(col_ids.size());
           for (std::size_t j = 0; j < col_ids.size(); ++j)
-            if (!is_winner_mine[j]) {
+            if (!std::binary_search(winner_ids.begin(), winner_ids.end(),
+                                    col_ids[j])) {
               keep.push_back(static_cast<Index>(j));
               next_col_ids.push_back(col_ids[j]);
             }
-          const CscMatrix rest = s_loc.select_columns(keep);
-          CooBuilder b12(kk, rest.cols());
-          CooBuilder b22(m_a - kk, rest.cols());
-          for (Index j = 0; j < rest.cols(); ++j) {
-            const auto rows = rest.col_rows(j);
-            const auto vals = rest.col_values(j);
+          const Index nkeep = static_cast<Index>(keep.size());
+          CooBuilder b12(kk, nkeep);
+          CooBuilder b22(m_a - kk, nkeep);
+          for (Index j = 0; j < nkeep; ++j) {
+            const auto rows = s_loc.col_rows(keep[static_cast<std::size_t>(j)]);
+            const auto vals = s_loc.col_values(keep[static_cast<std::size_t>(j)]);
             for (std::size_t t = 0; t < rows.size(); ++t) {
               if (selpos[rows[t]] >= 0)
                 b12.add(selpos[rows[t]], j, vals[t]);
@@ -226,12 +268,15 @@ DistLuResult lu_crtp_dist(const CscMatrix& a, const LuCrtpOptions& opts,
         });
       }
 
-      // --- X = A21 A11^{-1}: scattered solve + allgather (Section V) ---
-      CscMatrix x;  // (m_a - kk) x kk, replicated after allgather
+      // --- L block X = A21 A11^{-1} (line 10): scattered solve + allgather
+      // (Section V) ---
+      CscMatrix x;  // (m_a - kk) x kk, replicated after the allgather
       {
         PhaseScope solve_phase(ctx, "solve_a21");
-        // Row-equilibrate the pivot block first so the conditioning guard is
-        // scale-invariant (graded blocks are fine; true deficiency is not).
+        // Row-equilibrate the pivot block first, A11 = D * S with D = diag(row
+        // max magnitudes), so the conditioning guard is scale-invariant
+        // (graded blocks are fine; true deficiency is not). The solve
+        // X A11 = A21 becomes Y S = A21 with X(:, j) = Y(:, j) / D(j, j).
         std::vector<double> dinv(static_cast<std::size_t>(kk), 0.0);
         bool degenerate = false;
         Matrix a11_scaled = a11;
@@ -254,34 +299,40 @@ DistLuResult lu_crtp_dist(const CscMatrix& a, const LuCrtpOptions& opts,
           status = Status::kBreakdown;
           break;
         }
-        // Partition A21's nonzero rows round-robin over ranks.
+        // A21's nonzero rows are dealt round-robin over ranks; row c of X
+        // solves y^T S = a21_c^T, then X(c, j) = y(j) * dinv[j]. Each solve
+        // writes its own payload record [c, x_c0 .. x_c(kk-1)], so the
+        // solves run on the thread pool (inline on a rank of a P > 1 world)
+        // and the result is bitwise identical at any thread count.
         const CscMatrix a21t = a21.transposed();  // kk x (m_a - kk)
-        std::vector<double> my_payload;            // [row, v0..v_{kk-1}]*
+        std::vector<Index> my_rows;
+        for (Index c = 0, counter = 0; c < a21t.cols(); ++c)
+          if (a21t.col_nnz(c) > 0 && static_cast<int>(counter++ % p) == r)
+            my_rows.push_back(c);
+        const std::size_t stride = static_cast<std::size_t>(kk) + 1;
+        std::vector<double> payload(my_rows.size() * stride);
         ctx.compute("solve_a21", [&] {
-          // Solve scratch from the rank thread's arena (reused across the
-          // factorization's iterations — no steady-state heap traffic).
-          Workspace::Scope scope;
-          double* rhs = scope.doubles(static_cast<std::size_t>(kk));
-          Index counter = 0;
-          for (Index c = 0; c < a21t.cols(); ++c) {
-            if (a21t.col_nnz(c) == 0) continue;
-            if (static_cast<int>(counter++ % p) != r) continue;
-            std::fill(rhs, rhs + kk, 0.0);
-            const auto rows = a21t.col_rows(c);
-            const auto vals = a21t.col_values(c);
-            for (std::size_t t = 0; t < rows.size(); ++t) rhs[rows[t]] = vals[t];
-            lu11.solve_row_inplace(rhs);
-            for (Index j = 0; j < kk; ++j) rhs[j] *= dinv[j];
-            my_payload.push_back(static_cast<double>(c));
-            my_payload.insert(my_payload.end(), rhs, rhs + kk);
-          }
+          ThreadPool::global().parallel_ranges(
+              Index{0}, static_cast<Index>(my_rows.size()), "lu_solve",
+              /*grain=*/16, [&](Index i0, Index i1, int) {
+                for (Index i = i0; i < i1; ++i) {
+                  const Index c = my_rows[static_cast<std::size_t>(i)];
+                  double* rec = payload.data() + static_cast<std::size_t>(i) * stride;
+                  rec[0] = static_cast<double>(c);
+                  double* rhs = rec + 1;
+                  const auto rows = a21t.col_rows(c);
+                  const auto vals = a21t.col_values(c);
+                  for (std::size_t t = 0; t < rows.size(); ++t) rhs[rows[t]] = vals[t];
+                  lu11.solve_row_inplace(rhs);
+                  for (Index j = 0; j < kk; ++j) rhs[j] *= dinv[j];
+                }
+              });
         });
-        const std::vector<double> allx = ctx.allgatherv(my_payload);
+        const std::vector<double> allx =
+            p == 1 ? std::move(payload) : ctx.allgatherv(payload);
         ctx.compute("solve_a21", [&] {
           CooBuilder xb(m_a - kk, kk);
-          for (std::size_t pos = 0;
-               pos + static_cast<std::size_t>(kk) + 1 <= allx.size();
-               pos += static_cast<std::size_t>(kk) + 1) {
+          for (std::size_t pos = 0; pos + stride <= allx.size(); pos += stride) {
             const Index row = static_cast<Index>(allx[pos]);
             for (Index j = 0; j < kk; ++j) {
               const double v = allx[pos + 1 + static_cast<std::size_t>(j)];
@@ -292,7 +343,7 @@ DistLuResult lu_crtp_dist(const CscMatrix& a, const LuCrtpOptions& opts,
         });
       }
 
-      // --- Schur update of the local columns ---
+      // --- Schur complement of the local columns (line 12) ---
       CscMatrix schur_loc;
       {
         PhaseScope schur_phase(ctx, "schur");
@@ -303,7 +354,7 @@ DistLuResult lu_crtp_dist(const CscMatrix& a, const LuCrtpOptions& opts,
         });
       }
 
-      // Post the error-indicator reduction now and record this round's
+      // Post the error-indicator reduction (9) now and record this round's
       // factor triplets while it is in flight: the recording reads only
       // panel state (x, a11, u12), none of which the reduction touches, so
       // the bookkeeping overlaps the modeled allreduce.
@@ -314,7 +365,8 @@ DistLuResult lu_crtp_dist(const CscMatrix& a, const LuCrtpOptions& opts,
         ind_req = ctx.iallreduce_sum(std::vector<double>{local_sq});
       }
 
-      // --- Record L and U triplets (L on rank 0; U on the owning ranks) ---
+      // --- Record L and U triplets (line 11; L on rank 0, U on the owning
+      // ranks) ---
       const Index koff = rank_so_far;
       for (Index j = 0; j < kk; ++j) {
         sel_rows_global.push_back(row_ids[sel_rows[j]]);
@@ -348,15 +400,16 @@ DistLuResult lu_crtp_dist(const CscMatrix& a, const LuCrtpOptions& opts,
 
       indicator = std::sqrt(std::max(0.0, ctx.wait_allreduce_sum(ind_req)[0]));
 
-      // --- ILUT thresholding ---
+      // --- ILUT thresholding (Algorithm 3, lines 5-10) ---
       if (threshold_enabled && iterations == 1) {
         const Index u_est =
             opts.estimated_iterations > 0
                 ? opts.estimated_iterations
-                : std::max<Index>(1, rank_budget / std::max<Index>(1, k));
+                : std::max<Index>(1, rank_budget / k);
         mu = opts.tau * r11_first /
              (static_cast<double>(u_est) *
               std::sqrt(static_cast<double>(std::max<Index>(1, a.nnz()))));
+        mu_first = mu;
         phi = opts.phi > 0.0 ? opts.phi : opts.tau * r11_first;
       }
       if (threshold_enabled && indicator >= target) {
@@ -370,6 +423,7 @@ DistLuResult lu_crtp_dist(const CscMatrix& a, const LuCrtpOptions& opts,
         const double global_drop_sq = ctx.allreduce_sum(dr.fro_sq);
         const double global_dropped = ctx.allreduce_sum(static_cast<double>(dr.dropped));
         if (std::sqrt(t_acc_sq + global_drop_sq) >= phi) {
+          // Threshold control (line 10): undo and stop thresholding.
           schur_loc = std::move(backup);
           mu = 0.0;
           threshold_enabled = false;
@@ -380,7 +434,7 @@ DistLuResult lu_crtp_dist(const CscMatrix& a, const LuCrtpOptions& opts,
         }
       }
 
-      // --- Bookkeeping ---
+      // --- Bookkeeping for the next iteration ---
       std::vector<Index> next_rows;
       next_rows.reserve(rest_rows.size());
       for (Index i : rest_rows) next_rows.push_back(row_ids[i]);
@@ -392,17 +446,17 @@ DistLuResult lu_crtp_dist(const CscMatrix& a, const LuCrtpOptions& opts,
       const double ncols_glob = ctx.allreduce_sum(static_cast<double>(col_ids.size()));
       const double factor_nnz_glob = ctx.allreduce_sum(
           static_cast<double>(l_entries.size() + u_entries.size()));
-      if (r == 0) {
-        fill.push_back(ncols_glob * row_ids.size() == 0
-                           ? 0.0
-                           : nnz_glob / (static_cast<double>(row_ids.size()) *
-                                         ncols_glob));
-        schur_nnz.push_back(static_cast<Index>(nnz_glob));
-        factor_nnz.push_back(static_cast<Index>(factor_nnz_glob));
-      }
-      iter_vs.push_back(ctx.vtime());
-      iter_ind.push_back(indicator / anorm);
-      iter_rank.push_back(rank_so_far);
+      fill.push_back(ncols_glob * row_ids.size() == 0
+                         ? 0.0
+                         : nnz_glob / (static_cast<double>(row_ids.size()) *
+                                       ncols_glob));
+      schur_nnz.push_back(static_cast<Index>(nnz_glob));
+      factor_nnz.push_back(static_cast<Index>(factor_nnz_glob));
+      obs::IterationSample& smp = obs::append_sample(
+          telemetry, rank_so_far, indicator / anorm, opts.tau, ctx.vtime());
+      smp.schur_nnz = schur_nnz.back();
+      smp.fill_density = fill.back();
+      smp.factor_nnz = factor_nnz.back();
       if (indicator < target) {
         status = Status::kConverged;
         break;
@@ -411,24 +465,29 @@ DistLuResult lu_crtp_dist(const CscMatrix& a, const LuCrtpOptions& opts,
     if (indicator < target) status = Status::kConverged;
 
     // --- Gather factors to rank 0 (not part of the timed algorithm) ---
-    // Triplets and surviving ids; rank 0 assembles exactly like the
-    // sequential engine.
+    // U triplets and surviving column ids; one rank already holds them all.
     PhaseScope assemble_phase(ctx, "assemble");
-    ByteWriter w;
-    {
-      std::vector<Index> uti, utj;
-      std::vector<double> utv;
-      for (const Triplet& t : u_entries) {
-        uti.push_back(t.i);
-        utj.push_back(t.j);
-        utv.push_back(t.v);
-      }
-      w.put_vec(uti);
-      w.put_vec(utj);
-      w.put_vec(utv);
+    std::vector<Triplet> all_u;
+    std::vector<Index> surviving_cols;
+    if (p == 1) {
+      all_u = std::move(u_entries);
+      surviving_cols = std::move(col_ids);
+    } else {
+      ByteWriter w;
+      w.put_vec(u_entries);
       w.put_vec(col_ids);  // surviving columns on this rank
+      const auto blobs = ctx.exchange_all(w.take(), 0.0, "gather_factors");
+      if (r == 0) {
+        for (const auto& blob : blobs) {
+          ByteReader rd(blob);
+          const auto u = rd.get_vec<Triplet>();
+          all_u.insert(all_u.end(), u.begin(), u.end());
+          const auto sc = rd.get_vec<Index>();
+          surviving_cols.insert(surviving_cols.end(), sc.begin(), sc.end());
+        }
+        std::sort(surviving_cols.begin(), surviving_cols.end());
+      }
     }
-    auto blobs = ctx.exchange_all(w.take(), 0.0, "gather_factors");
 
     if (r == 0) {
       std::lock_guard<std::mutex> lock(out_mu);
@@ -439,35 +498,20 @@ DistLuResult lu_crtp_dist(const CscMatrix& a, const LuCrtpOptions& opts,
       res.anorm_f = anorm;
       res.indicator = indicator;
       res.r11_first = r11_first;
-      res.mu = mu;
+      res.mu = mu_first;
       res.t_norm_sq = t_acc_sq;
       res.dropped_entries = dropped_total;
       res.threshold_control_hit = control_hit;
-      res.fill_density = fill;
-      res.schur_nnz = schur_nnz;
-      res.factor_nnz = factor_nnz;
-      out.iter_vseconds = iter_vs;
-      out.iter_indicator = iter_ind;
-      out.iter_rank = iter_rank;
+      res.fill_density = std::move(fill);
+      res.schur_nnz = std::move(schur_nnz);
+      res.factor_nnz = std::move(factor_nnz);
+      res.telemetry = std::move(telemetry);
 
-      // Collect U triplets and surviving columns from all ranks.
-      std::vector<Triplet> all_u;
-      std::vector<Index> surviving_cols;
-      for (const auto& blob : blobs) {
-        ByteReader rd(blob);
-        const auto uti = rd.get_vec<Index>();
-        const auto utj = rd.get_vec<Index>();
-        const auto utv = rd.get_vec<double>();
-        for (std::size_t t = 0; t < uti.size(); ++t)
-          all_u.push_back({uti[t], utj[t], utv[t]});
-        const auto sc = rd.get_vec<Index>();
-        surviving_cols.insert(surviving_cols.end(), sc.begin(), sc.end());
-      }
-      std::sort(surviving_cols.begin(), surviving_cols.end());
-
-      res.row_perm = sel_rows_global;
+      // Final order: selected rows/columns in iteration order, then the
+      // survivors (P_r A P_c ~= L U; P_c composed with `pre`).
+      res.row_perm = std::move(sel_rows_global);
       res.row_perm.insert(res.row_perm.end(), row_ids.begin(), row_ids.end());
-      Perm colp = sel_cols_global;
+      Perm colp = std::move(sel_cols_global);
       colp.insert(colp.end(), surviving_cols.begin(), surviving_cols.end());
       res.col_perm.resize(colp.size());
       for (std::size_t j = 0; j < colp.size(); ++j)
@@ -478,36 +522,14 @@ DistLuResult lu_crtp_dist(const CscMatrix& a, const LuCrtpOptions& opts,
       for (std::size_t j = 0; j < colp.size(); ++j)
         col_pos[colp[j]] = static_cast<Index>(j);
 
-      CooBuilder lb(a.rows(), res.rank);
-      for (const Triplet& t : l_entries) lb.add(row_pos[t.i], t.j, t.v);
-      res.l = lb.build();
-      CooBuilder ub(res.rank, a.cols());
-      for (const Triplet& t : all_u) ub.add(t.i, col_pos[t.j], t.v);
-      res.u = ub.build();
+      for (Triplet& t : l_entries) t.i = row_pos[t.i];
+      res.l = to_csc(a.rows(), res.rank, std::move(l_entries));
+      for (Triplet& t : all_u) t.j = col_pos[t.j];
+      res.u = to_csc(res.rank, a.cols(), std::move(all_u));
     }
   };
 
-  try {
-    world.run(body);
-  } catch (const sim::CommFaultError&) {
-    out.result.status = Status::kCommFault;
-    out.result.anorm_f = anorm;
-  } catch (const std::out_of_range&) {
-    // A corrupted payload that slipped past the transport and was rejected by
-    // ByteReader's bounds checks; only reachable with a fault plan installed.
-    if (!world.fault_plan()) throw;
-    out.result.status = Status::kCommFault;
-    out.result.anorm_f = anorm;
-  }
-
-  out.virtual_seconds = world.elapsed_virtual();
-  out.kernel_seconds = world.kernel_times_max();
-  out.comm = world.comm_stats();
-  out.trace = world.take_trace();
-  out.result.telemetry = obs::make_series(out.iter_vseconds, out.iter_indicator,
-                                          out.iter_rank, opts.tau);
-  obs::attach_fill(out.result.telemetry, out.result.fill_density,
-                   out.result.schur_nnz, out.result.factor_nnz);
+  spmd::run(world, body, out, anorm);
   return out;
 }
 

@@ -1,7 +1,8 @@
 #pragma once
-// Distributed-memory LU_CRTP / ILUT_CRTP on the virtual-time runtime
-// (Section V of the paper). Layout: A^(i) and U_K are distributed by columns
-// (cyclic), L_K by rows. Column QR_TP runs as a two-stage reduction tree;
+// LU_CRTP / ILUT_CRTP on P processes of the virtual-time runtime (Section V
+// of the paper). This is the algorithms' only body: lu_crtp() runs it with
+// P = 1. Layout: A^(i) and U_K are distributed by columns (cyclic), L_K by
+// rows. Column QR_TP runs as a two-stage reduction tree;
 // the k selected columns are QR-factored on one process and the orthogonal
 // factor is broadcast; the row tournament runs on row slices of Q; the
 // A21 A11^{-1} solve is scattered over ranks and allgathered; the Schur
@@ -19,9 +20,6 @@ struct DistLuResult {
   LuCrtpResult result;            // factors + permutations, assembled
   double virtual_seconds = 0.0;   // max over ranks of the final clock
   std::map<std::string, double> kernel_seconds;  // max over ranks
-  std::vector<double> iter_vseconds;   // cumulative virtual time per iteration
-  std::vector<double> iter_indicator;  // relative error indicator per iteration
-  std::vector<Index> iter_rank;        // K after each iteration
   obs::CommStats comm;                 // per-rank comm counters (always on)
   std::vector<obs::RankTrace> trace;   // per-rank spans (collect_trace only)
 };
@@ -31,6 +29,8 @@ struct DistLuResult {
 /// plan and detected by the transport aborts the run and is reported as
 /// Status::kCommFault — with virtual times, comm counters and traces
 /// collected up to the abort — never as a crash.
+/// @throws std::invalid_argument when opts.block_size < 1, or when
+///         opts.colamd == ColamdMode::kEvery with nranks > 1.
 DistLuResult lu_crtp_dist(const CscMatrix& a, const LuCrtpOptions& opts,
                           int nranks, const SimOptions& sim);
 

@@ -2,7 +2,7 @@
 // Randomized QB factorization with efficient error indicator (RandQB_EI,
 // Yu/Gu/Li 2018; Algorithm 1 of the paper). Fixed-precision: iterates
 // k-column blocks until the exact Frobenius indicator (4) drops below
-// tau * ||A||_F.
+// tau * ||A||_F. The iteration lives in core/randqb_ei_dist.cpp.
 
 #include <cstdint>
 
@@ -12,21 +12,12 @@
 
 namespace lra {
 
-/// Which norm the fixed-precision criterion (1) is enforced in.
-enum class ErrorNorm {
-  kFrobenius,  // exact cheap indicator (4)
-  kSpectral,   // power-iteration estimate of ||A - Q B||_2 each iteration
-};
-
 struct RandQbOptions {
   Index block_size = 32;  // k
   double tau = 1e-3;
   int power = 1;          // p in the power scheme (0..3)
   Index max_rank = -1;    // -1: min(m, n)
   std::uint64_t seed = 0x5eed;
-  bool record_trace = true;
-  ErrorNorm norm = ErrorNorm::kFrobenius;
-  int spectral_power_its = 12;  // power iterations per check (kSpectral)
 };
 
 struct RandQbResult {
@@ -43,12 +34,14 @@ struct RandQbResult {
   /// reports in Section VI-B.
   double orth_loss = 0.0;
 
-  IterationTrace trace;
-  /// Per-iteration convergence telemetry (populated with the trace; for the
-  /// distributed engine, time_seconds is the rank's cumulative virtual time).
+  /// Per-iteration convergence telemetry (time_seconds is rank 0's
+  /// cumulative virtual time: process CPU seconds for randqb_ei()).
   obs::TelemetrySeries telemetry;
 };
 
+/// Sequential RandQB_EI: the SPMD body of randqb_ei_dist() run as one rank
+/// (its kernels use the thread pool), plus the orth_loss diagnostic.
+/// @throws std::invalid_argument when opts.block_size < 1.
 RandQbResult randqb_ei(const CscMatrix& a, const RandQbOptions& opts);
 
 /// Exact ||A - Q B||_F (dense verification for tests/small problems).

@@ -1,10 +1,12 @@
 #pragma once
-// Distributed-memory RandQB_EI on the virtual-time runtime (Section V of the
-// paper; the original uses Elemental + MPI). Data layout: A and Q_K are
-// 1D row-distributed, B_K is column-distributed; orthonormalization uses the
+// RandQB_EI on P processes of the virtual-time runtime (Section V of the
+// paper; the original uses Elemental + MPI). This is the algorithm's only
+// body: randqb_ei() runs it with P = 1. Data layout: A and Q_K are 1D
+// row-distributed, B_K is column-distributed; orthonormalization uses the
 // allgather-TSQR scheme (local QR, allgather of the k x k R factors,
 // redundant small QR, local Q update) — the standard communication-avoiding
-// tall-skinny QR for this layout.
+// tall-skinny QR for this layout. The per-iteration series is
+// result.telemetry (rank 0's virtual clock).
 
 #include <map>
 #include <string>
@@ -18,9 +20,6 @@ struct DistRandQbResult {
   RandQbResult result;            // factors assembled on return
   double virtual_seconds = 0.0;   // max over ranks of the final clock
   std::map<std::string, double> kernel_seconds;  // max over ranks
-  std::vector<double> iter_vseconds;   // cumulative virtual time per iteration
-  std::vector<double> iter_indicator;  // relative error indicator per iteration
-  std::vector<Index> iter_rank;        // K after each iteration
   obs::CommStats comm;                 // per-rank comm counters (always on)
   std::vector<obs::RankTrace> trace;   // per-rank spans (collect_trace only)
 };
@@ -30,6 +29,7 @@ struct DistRandQbResult {
 /// plan and detected by the transport aborts the run and is reported as
 /// Status::kCommFault — with virtual times, comm counters and traces
 /// collected up to the abort — never as a crash.
+/// @throws std::invalid_argument when opts.block_size < 1.
 DistRandQbResult randqb_ei_dist(const CscMatrix& a, const RandQbOptions& opts,
                                 int nranks, const SimOptions& sim);
 

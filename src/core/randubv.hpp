@@ -2,8 +2,8 @@
 // RandUBV (Hallman 2021): fixed-precision low-rank approximation by block
 // Lanczos bidiagonalization with a random start block. A ~= U B V^T with B
 // block bidiagonal; the error indicator mirrors RandQB_EI's:
-// ||A - U B V^T||_F^2 = ||A||_F^2 - ||B||_F^2. The paper evaluates RandUBV
-// sequentially (Section VI-B); so do we.
+// ||A - U B V^T||_F^2 = ||A||_F^2 - ||B||_F^2, with one-sided full
+// reorthogonalization. The iteration lives in core/randubv_dist.cpp.
 
 #include <cstdint>
 
@@ -18,8 +18,6 @@ struct RandUbvOptions {
   double tau = 1e-3;
   Index max_rank = -1;
   std::uint64_t seed = 0x5eed;
-  bool full_reorth = true;  // one-sided full reorthogonalization
-  bool record_trace = true;
 };
 
 struct RandUbvResult {
@@ -33,11 +31,13 @@ struct RandUbvResult {
   Matrix b;  // K x K block bidiagonal
   Matrix v;  // n x K
 
-  IterationTrace trace;
-  /// Per-iteration convergence telemetry (populated with the trace).
+  /// Per-iteration convergence telemetry (rank 0's virtual clock).
   obs::TelemetrySeries telemetry;
 };
 
+/// Sequential RandUBV: the SPMD body of randubv_dist() run as one rank (its
+/// kernels use the thread pool).
+/// @throws std::invalid_argument when opts.block_size < 1.
 RandUbvResult randubv(const CscMatrix& a, const RandUbvOptions& opts);
 
 /// Exact ||A - U B V^T||_F (dense verification).

@@ -3,118 +3,27 @@
 #include <algorithm>
 #include <cmath>
 #include <mutex>
+#include <stdexcept>
 
+#include "core/spmd.hpp"
 #include "dense/blas.hpp"
-#include "dense/qr.hpp"
 #include "obs/prof/phase.hpp"
 #include "sparse/ops.hpp"
 
 namespace lra {
-namespace {
 
 using obs::prof::PhaseScope;
-
-struct Slice {
-  Index begin, end;
-  Index size() const { return end - begin; }
-};
-Slice slice_of(Index n, int p, int r) {
-  const Index base = n / p, rem = n % p;
-  const Index lo = r * base + std::min<Index>(r, rem);
-  return {lo, lo + base + (r < rem ? 1 : 0)};
-}
-
-// Allgather-TSQR returning this rank's rows of Q and the (replicated) R.
-struct TsqrOut {
-  Matrix q_loc;
-  Matrix r;  // kk x kk upper triangular
-};
-
-TsqrOut tsqr_dist(RankCtx& ctx, Matrix y_loc, Index kk,
-                  const std::string& kernel) {
-  PhaseScope phase(ctx, "tsqr");
-  HouseholderQR f =
-      ctx.compute(kernel, [&] { return HouseholderQR(std::move(y_loc)); });
-  const Matrix r_loc = f.r();
-
-  std::vector<double> payload;
-  payload.push_back(static_cast<double>(r_loc.rows()));
-  for (Index i = 0; i < r_loc.rows(); ++i)
-    for (Index j = 0; j < kk; ++j) payload.push_back(r_loc(i, j));
-  // Post the R-factor exchange and form this rank's explicit Q1 while it is
-  // in flight: thin_q reads only the local factorization, so the backtransform
-  // overlaps the modeled allgather without touching any floating-point order.
-  CollRequest gather = ctx.iallgatherv(payload);
-  Matrix q1 = ctx.compute(kernel, [&] { return f.thin_q(); });
-  const std::vector<double> all = ctx.wait_allgatherv(gather);
-
-  return ctx.compute(kernel, [&] {
-    Matrix stacked(0, kk);
-    std::vector<Index> offsets;
-    std::size_t pos = 0;
-    for (int r = 0; r < ctx.size(); ++r) {
-      const Index nr = static_cast<Index>(all[pos++]);
-      Matrix blk(nr, kk);
-      for (Index i = 0; i < nr; ++i)
-        for (Index j = 0; j < kk; ++j)
-          blk(i, j) = all[pos + static_cast<std::size_t>(i * kk + j)];
-      pos += static_cast<std::size_t>(nr * kk);
-      offsets.push_back(stacked.rows());
-      stacked.append_rows(blk);
-    }
-    HouseholderQR top(std::move(stacked));
-    const Matrix q2 = top.thin_q();
-    TsqrOut out;
-    out.r = top.r();
-    const Matrix my_q2 = q2.block(offsets[ctx.rank()], 0,
-                                  std::min<Index>(r_loc.rows(), kk), kk);
-    out.q_loc = matmul(q1, my_q2);
-    return out;
-  });
-}
-
-// Replicate a row-distributed dense block (slices in rank order). Split into
-// post + wait halves so callers can slot independent work into the transfer.
-CollRequest ireplicate(RankCtx& ctx, const Matrix& loc) {
-  // The wait event inherits this phase from the post (see CollRequest).
-  PhaseScope phase(ctx, "replicate");
-  std::vector<double> flat(loc.data(), loc.data() + loc.size());
-  return ctx.iallgatherv(flat);
-}
-
-Matrix wait_replicate(RankCtx& ctx, CollRequest& req, Index total_rows,
-                      Index kk) {
-  const std::vector<double> all = ctx.wait_allgatherv(req);
-  Matrix full(total_rows, kk);
-  std::size_t pos = 0;
-  for (int r = 0; r < ctx.size(); ++r) {
-    const Slice s = slice_of(total_rows, ctx.size(), r);
-    for (Index j = 0; j < kk; ++j)
-      for (Index i = 0; i < s.size(); ++i)
-        full(s.begin + i, j) = all[pos + static_cast<std::size_t>(j * s.size() + i)];
-    pos += static_cast<std::size_t>(s.size() * kk);
-  }
-  return full;
-}
-
-Matrix replicate(RankCtx& ctx, const Matrix& loc, Index total_rows, Index kk) {
-  CollRequest req = ireplicate(ctx, loc);
-  return wait_replicate(ctx, req, total_rows, kk);
-}
-
-// Allreduce a dense matrix elementwise (used for K x b projections and for
-// summed partial products).
-void allreduce_inplace(RankCtx& ctx, Matrix& m) {
-  if (m.size() == 0) return;
-  std::vector<double> flat(m.data(), m.data() + m.size());
-  flat = ctx.allreduce_sum(std::move(flat));
-  std::copy(flat.begin(), flat.end(), m.data());
-}
-
-}  // namespace
+using spmd::LocalQr;
+using spmd::Slice;
+using spmd::slice_of;
+using spmd::tsqr_dist;
+using spmd::TsqrOut;
 
 DistRandUbvResult randubv_dist(const CscMatrix& a, const RandUbvOptions& opts,
                                int nranks, const SimOptions& sim) {
+  if (opts.block_size < 1)
+    throw std::invalid_argument("randubv: block size must be >= 1, got " +
+                                std::to_string(opts.block_size));
   DistRandUbvResult out;
   const Index m = a.rows(), n = a.cols();
   const Index lmax = std::min(m, n);
@@ -127,41 +36,38 @@ DistRandUbvResult randubv_dist(const CscMatrix& a, const RandUbvOptions& opts,
   std::mutex out_mu;
 
   auto body = [&](RankCtx& ctx) {
-    const Slice rs = slice_of(m, ctx.size(), ctx.rank());  // rows of A, U
     const Slice cs = slice_of(n, ctx.size(), ctx.rank());  // rows of V
-    const CscMatrix a_loc = a.block(rs.begin, rs.end, 0, n);
+    CscMatrix a_block;
+    const CscMatrix& a_loc = spmd::local_rows(ctx, a, a_block);  // rows of A, U
 
-    Matrix u_loc(rs.size(), 0);
+    Matrix u_loc(a_loc.rows(), 0);
     Matrix v_loc(cs.size(), 0);
-    std::vector<Matrix> diag_l, super_r;  // replicated small blocks
-    std::vector<double> iter_vs, iter_ind;
-    std::vector<Index> iter_rank;
+    // Block-bidiagonal coefficients (replicated); assembled into B at the end.
+    std::vector<Matrix> diag_l;   // L_j (b x b)
+    std::vector<Matrix> super_r;  // R_j (b x b)
+    obs::TelemetrySeries telemetry;
 
     // V_1 = orth(Gaussian) — block generated identically, sliced, TSQR'd.
-    Matrix omega_full;
+    Matrix omega;
     {
       PhaseScope sketch_phase(ctx, "sketch");
-      omega_full = ctx.compute("spmm", [&] {
-        return Matrix::gaussian(n, b, opts.seed, 0);
+      omega = ctx.compute("spmm", [&] {
+        return Matrix::gaussian(n, b, opts.seed, 0).block(cs.begin, 0, cs.size(), b);
       });
     }
-    TsqrOut v1 = tsqr_dist(
-        ctx, omega_full.block(cs.begin, 0, cs.size(), b), b, "orth");
-    Matrix vj_loc = std::move(v1.q_loc);
+    Matrix vj_loc = tsqr_dist(ctx, std::move(omega), b, "orth").q_loc;
 
-    // U_1 L_1 = qr(A V_1).
+    // U_1 L_1 = qr(A V_1). The Lanczos QRs below keep one Householder QR per
+    // rank (no orth() routing).
     Matrix z_loc;
     {
       PhaseScope sketch_phase(ctx, "sketch");
-      Matrix v_full = ctx.compute("spmm", [&] {
-        return Matrix(n, b);
-      });
-      v_full = replicate(ctx, vj_loc, n, b);
+      const Matrix v_full = spmd::gather_rows(ctx, vj_loc, n);
       z_loc = ctx.compute("spmm", [&] { return spmm(a_loc, v_full); });
     }
-    TsqrOut u1 = tsqr_dist(ctx, std::move(z_loc), b, "orth");
+    TsqrOut u1 = tsqr_dist(ctx, std::move(z_loc), b, "orth", LocalQr::kHouseholder);
     Matrix uj_loc = std::move(u1.q_loc);
-    Matrix lj = std::move(u1.r);
+    Matrix lj = std::move(u1.r);  // upper triangular here; L in UBV notation
 
     double e = anorm * anorm;
     Index rank_so_far = 0, iterations = 0;
@@ -185,9 +91,8 @@ DistRandUbvResult randubv_dist(const CscMatrix& a, const RandUbvOptions& opts,
       iterations += 1;
       e -= lj.frobenius_norm_sq();
       indicator = std::sqrt(std::max(0.0, e));
-      iter_vs.push_back(ctx.vtime());
-      iter_ind.push_back(indicator / anorm);
-      iter_rank.push_back(rank_so_far);
+      obs::append_sample(telemetry, rank_so_far, indicator / anorm, opts.tau,
+                         ctx.vtime());
       if (indicator < target) {
         status = opts.tau < kRandQbIndicatorFloor ? Status::kIndicatorFloor
                                                   : Status::kConverged;
@@ -195,39 +100,39 @@ DistRandUbvResult randubv_dist(const CscMatrix& a, const RandUbvOptions& opts,
       }
       if (rank_so_far + b > rank_budget) break;
 
-      // W = A^T U_j - V_j L_j^T (row-distributed over n), full reorth.
+      // W = A^T U_j - V_j L_j^T (row-distributed over n), reorthogonalized
+      // against all previous V (one-sided full reorthogonalization).
       Matrix w_loc;
       {
         PhaseScope power_phase(ctx, "power");
-        ctx.compute("spmm", [&] {
-          spmm_t_into(w_partial, a_loc, uj_loc);
-          return 0;
-        });
-        allreduce_inplace(ctx, w_partial);
+        ctx.compute("spmm", [&] { spmm_t_into(w_partial, a_loc, uj_loc); });
+        spmd::allreduce_sum(ctx, w_partial);
         w_loc = ctx.compute("spmm", [&] {
           Matrix w = w_partial.block(cs.begin, 0, cs.size(), b);
           gemm(w, vj_loc, lj, -1.0, 1.0, Trans::kNo, Trans::kYes);
           return w;
         });
       }
-      if (opts.full_reorth && v_loc.cols() > 0) {
+      {
         PhaseScope reorth_phase(ctx, "reorth");
         Matrix proj =
             ctx.compute("reorth", [&] { return matmul_tn(v_loc, w_loc); });
-        allreduce_inplace(ctx, proj);
+        spmd::allreduce_sum(ctx, proj);
         ctx.compute("reorth", [&] { gemm(w_loc, v_loc, proj, -1.0, 1.0); });
       }
-      TsqrOut vt = tsqr_dist(ctx, std::move(w_loc), b, "orth");
+      TsqrOut vt = tsqr_dist(ctx, std::move(w_loc), b, "orth", LocalQr::kHouseholder);
       Matrix vnext_loc = std::move(vt.q_loc);
       const Matrix rj = std::move(vt.r);
-      // Post the V_{j+1} replication before the residual bookkeeping — the
-      // bookkeeping reads only R_j, so it rides in the allgather's shadow.
-      CollRequest vrep = ireplicate(ctx, vnext_loc);
       e -= rj.frobenius_norm_sq();
       super_r.push_back(rj);
 
-      // Z = A V_{j+1} - U_j R_j^T (row-distributed over m), full reorth.
-      const Matrix vnext_full = wait_replicate(ctx, vrep, n, b);
+      // Z = A V_{j+1} - U_j R_j^T (row-distributed over m), reorthogonalized
+      // against all previous U.
+      Matrix vnext_full;
+      {
+        PhaseScope rep(ctx, "replicate");
+        vnext_full = spmd::gather_rows(ctx, vnext_loc, n);
+      }
       Matrix znext_loc;
       {
         PhaseScope power_phase(ctx, "power");
@@ -237,26 +142,23 @@ DistRandUbvResult randubv_dist(const CscMatrix& a, const RandUbvOptions& opts,
           return z;
         });
       }
-      if (opts.full_reorth && u_loc.cols() > 0) {
+      {
         PhaseScope reorth_phase(ctx, "reorth");
         Matrix proj =
             ctx.compute("reorth", [&] { return matmul_tn(u_loc, znext_loc); });
-        allreduce_inplace(ctx, proj);
+        spmd::allreduce_sum(ctx, proj);
         ctx.compute("reorth", [&] { gemm(znext_loc, u_loc, proj, -1.0, 1.0); });
       }
-      TsqrOut ut = tsqr_dist(ctx, std::move(znext_loc), b, "orth");
+      TsqrOut ut = tsqr_dist(ctx, std::move(znext_loc), b, "orth", LocalQr::kHouseholder);
       uj_loc = std::move(ut.q_loc);
       lj = std::move(ut.r);
       vj_loc = std::move(vnext_loc);
     }
 
-    // Gather factors (not charged; see the RandQB_EI engine).
+    // Gather factors (not charged; see the RandQB_EI body).
     PhaseScope assemble_phase(ctx, "assemble");
-    std::vector<double> uflat(u_loc.data(), u_loc.data() + u_loc.size());
-    std::vector<double> vflat(v_loc.data(), v_loc.data() + v_loc.size());
-    const std::vector<double> us = ctx.allgatherv(uflat);
-    const std::vector<double> vs = ctx.allgatherv(vflat);
-
+    Matrix u = spmd::gather_rows(ctx, std::move(u_loc), m, /*root=*/0);
+    Matrix v = spmd::gather_rows(ctx, std::move(v_loc), n, /*root=*/0);
     if (ctx.rank() == 0) {
       std::lock_guard<std::mutex> lock(out_mu);
       RandUbvResult& r = out.result;
@@ -265,24 +167,10 @@ DistRandUbvResult randubv_dist(const CscMatrix& a, const RandUbvOptions& opts,
       r.iterations = iterations;
       r.anorm_f = anorm;
       r.indicator = indicator;
-      r.u = Matrix(m, rank_so_far);
-      std::size_t pos = 0;
-      for (int rr = 0; rr < ctx.size(); ++rr) {
-        const Slice s = slice_of(m, ctx.size(), rr);
-        for (Index j = 0; j < rank_so_far; ++j)
-          for (Index i = 0; i < s.size(); ++i)
-            r.u(s.begin + i, j) = us[pos + static_cast<std::size_t>(j * s.size() + i)];
-        pos += static_cast<std::size_t>(s.size() * rank_so_far);
-      }
-      r.v = Matrix(n, rank_so_far);
-      pos = 0;
-      for (int rr = 0; rr < ctx.size(); ++rr) {
-        const Slice s = slice_of(n, ctx.size(), rr);
-        for (Index j = 0; j < rank_so_far; ++j)
-          for (Index i = 0; i < s.size(); ++i)
-            r.v(s.begin + i, j) = vs[pos + static_cast<std::size_t>(j * s.size() + i)];
-        pos += static_cast<std::size_t>(s.size() * rank_so_far);
-      }
+      r.u = std::move(u);
+      r.v = std::move(v);
+      // Block-bidiagonal B (K x K): A ~= U B V^T with L_j on the block
+      // diagonal and R_j^T coupling U block j with V block j+1.
       r.b = Matrix(rank_so_far, rank_so_far);
       Index off = 0;
       for (std::size_t j = 0; j < diag_l.size(); ++j) {
@@ -291,31 +179,11 @@ DistRandUbvResult randubv_dist(const CscMatrix& a, const RandUbvOptions& opts,
           r.b.set_block(off, off + b, super_r[j].transposed());
         off += diag_l[j].rows();
       }
-      out.iter_vseconds = iter_vs;
-      out.iter_indicator = iter_ind;
-      out.iter_rank = iter_rank;
+      r.telemetry = std::move(telemetry);
     }
   };
 
-  try {
-    world.run(body);
-  } catch (const sim::CommFaultError&) {
-    out.result.status = Status::kCommFault;
-    out.result.anorm_f = anorm;
-  } catch (const std::out_of_range&) {
-    // A corrupted payload that slipped past the transport and was rejected by
-    // ByteReader's bounds checks; only reachable with a fault plan installed.
-    if (!world.fault_plan()) throw;
-    out.result.status = Status::kCommFault;
-    out.result.anorm_f = anorm;
-  }
-
-  out.virtual_seconds = world.elapsed_virtual();
-  out.kernel_seconds = world.kernel_times_max();
-  out.comm = world.comm_stats();
-  out.trace = world.take_trace();
-  out.result.telemetry = obs::make_series(out.iter_vseconds, out.iter_indicator,
-                                          out.iter_rank, opts.tau);
+  spmd::run(world, body, out, anorm);
   return out;
 }
 

@@ -1,10 +1,11 @@
 #pragma once
-// Distributed-memory RandUBV — the paper's explicitly stated future work
+// RandUBV on P processes — the paper's explicitly stated future work
 // ("these experiments motivate the development of an efficient parallel
-// implementation of RandUBV", Section VI-B). Layout mirrors the distributed
-// RandQB_EI: A and U are 1D row-distributed over m, V is row-distributed
-// over n; every orthonormalization is an allgather-TSQR; the block products
-// A V and A^T U are local SpMMs followed by an allreduce.
+// implementation of RandUBV", Section VI-B). This is the algorithm's only
+// body: randubv() runs it with P = 1. Layout mirrors RandQB_EI: A and U are
+// 1D row-distributed over m, V is row-distributed over n; every
+// orthonormalization is an allgather-TSQR; the block products A V and A^T U
+// are local SpMMs followed by an allreduce.
 
 #include <map>
 #include <string>
@@ -18,9 +19,6 @@ struct DistRandUbvResult {
   RandUbvResult result;           // factors assembled on return
   double virtual_seconds = 0.0;   // max over ranks of the final clock
   std::map<std::string, double> kernel_seconds;  // max over ranks
-  std::vector<double> iter_vseconds;   // cumulative virtual time per iteration
-  std::vector<double> iter_indicator;  // relative indicator per iteration
-  std::vector<Index> iter_rank;
   obs::CommStats comm;                 // per-rank comm counters (always on)
   std::vector<obs::RankTrace> trace;   // per-rank spans (collect_trace only)
 };
@@ -30,6 +28,7 @@ struct DistRandUbvResult {
 /// plan and detected by the transport aborts the run and is reported as
 /// Status::kCommFault — with virtual times, comm counters and traces
 /// collected up to the abort — never as a crash.
+/// @throws std::invalid_argument when opts.block_size < 1.
 DistRandUbvResult randubv_dist(const CscMatrix& a, const RandUbvOptions& opts,
                                int nranks, const SimOptions& sim);
 

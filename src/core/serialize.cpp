@@ -168,11 +168,26 @@ void save_factorization(const std::string& path, const RandQbResult& r) {
   w.check();
 }
 
+void save_factorization(const std::string& path, const RandUbvResult& r) {
+  Writer w(path);
+  w.tag('U');
+  w.pod<std::int32_t>(static_cast<std::int32_t>(r.status));
+  w.pod<std::int64_t>(r.rank);
+  w.pod<std::int64_t>(r.iterations);
+  w.pod(r.anorm_f);
+  w.pod(r.indicator);
+  w.matrix(r.u);
+  w.matrix(r.b);
+  w.matrix(r.v);
+  w.check();
+}
+
 std::string stored_factorization_kind(const std::string& path) {
   Reader r(path);
   const char tag = r.pod<char>();
   if (tag == 'L') return "lu";
   if (tag == 'Q') return "qb";
+  if (tag == 'U') return "ubv";
   throw std::runtime_error(path + ": unknown factorization kind");
 }
 
@@ -206,6 +221,22 @@ RandQbResult load_qb_factorization(const std::string& path) {
   r.indicator = rd.pod<double>();
   r.q = rd.matrix();
   r.b = rd.matrix();
+  return r;
+}
+
+RandUbvResult load_ubv_factorization(const std::string& path) {
+  Reader rd(path);
+  if (rd.pod<char>() != 'U')
+    throw std::runtime_error(path + ": not a UBV factorization");
+  RandUbvResult r;
+  r.status = static_cast<Status>(rd.pod<std::int32_t>());
+  r.rank = rd.pod<std::int64_t>();
+  r.iterations = rd.pod<std::int64_t>();
+  r.anorm_f = rd.pod<double>();
+  r.indicator = rd.pod<double>();
+  r.u = rd.matrix();
+  r.b = rd.matrix();
+  r.v = rd.matrix();
   return r;
 }
 

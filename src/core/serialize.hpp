@@ -8,17 +8,20 @@
 
 #include "core/lu_crtp.hpp"
 #include "core/randqb_ei.hpp"
+#include "core/randubv.hpp"
 
 namespace lra {
 
 void save_factorization(const std::string& path, const LuCrtpResult& r);
 void save_factorization(const std::string& path, const RandQbResult& r);
+void save_factorization(const std::string& path, const RandUbvResult& r);
 
-/// Peek at the stored kind: "lu" or "qb"; throws on anything else.
+/// Peek at the stored kind: "lu", "qb" or "ubv"; throws on anything else.
 std::string stored_factorization_kind(const std::string& path);
 
 LuCrtpResult load_lu_factorization(const std::string& path);
 RandQbResult load_qb_factorization(const std::string& path);
+RandUbvResult load_ubv_factorization(const std::string& path);
 
 /// Sparse matrix container round-trip (used by tests and the CLI cache).
 void save_csc(const std::string& path, const CscMatrix& a);

@@ -135,8 +135,7 @@ Matrix HouseholderQR::solve(const Matrix& b) const {
   return x;
 }
 
-Matrix orth(const Matrix& a) {
-  if (a.empty()) return Matrix(a.rows(), 0);
+Index orth_tsqr_block_rows(Index rows, Index cols) {
   // Tall-skinny panels (the RandQB_EI hot path) go through TSQR so the
   // stage-1 block factorizations run on the thread pool. The 16-block grid
   // is a function of the shape only, never of the worker count, so the
@@ -145,11 +144,15 @@ Matrix orth(const Matrix& a) {
   // to win there, and other callers rely on its exact bits for small
   // panels).
   constexpr Index kTsqrBlocks = 16;
-  if (a.rows() >= 8 * a.cols() && a.rows() >= 2048) {
-    const Index block_rows =
-        std::max(a.cols(), (a.rows() + kTsqrBlocks - 1) / kTsqrBlocks);
+  if (rows >= 8 * cols && rows >= 2048)
+    return std::max(cols, (rows + kTsqrBlocks - 1) / kTsqrBlocks);
+  return 0;
+}
+
+Matrix orth(const Matrix& a) {
+  if (a.empty()) return Matrix(a.rows(), 0);
+  if (const Index block_rows = orth_tsqr_block_rows(a.rows(), a.cols()))
     return tsqr(a, block_rows).q;
-  }
   return HouseholderQR(a).thin_q();
 }
 

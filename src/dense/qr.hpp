@@ -40,4 +40,8 @@ class HouseholderQR {
 /// the QB iteration because the corresponding B rows carry no weight).
 Matrix orth(const Matrix& a);
 
+/// Row-block height orth() factors a rows x cols panel with through the
+/// pool-parallel tsqr(), or 0 when it takes the one-shot Householder path.
+Index orth_tsqr_block_rows(Index rows, Index cols);
+
 }  // namespace lra

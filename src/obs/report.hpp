@@ -7,8 +7,8 @@
 //   iteration   — one per solver iteration (from obs::TelemetrySeries)
 //   comm        — aggregated communication counters of a distributed run
 //   pool_kernel — one per thread-pool kernel label: calls, wall seconds,
-//                 worker count (sequential engine only; simulated ranks
-//                 never fork onto the pool)
+//                 worker count (one-rank runs only; the ranks of a P > 1
+//                 world never fork onto the pool)
 //   workspace   — one per run: aggregated per-thread arena counters
 //                 (capacity, high-water mark, allocation/grow counts) — the
 //                 zero-allocation witness of the kernel hot loops

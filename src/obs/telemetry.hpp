@@ -2,8 +2,8 @@
 // Unified per-iteration convergence telemetry emitted by every solver
 // (sequential and distributed): one sample per iteration carrying the
 // accumulated rank, the relative error indicator against the fixed-precision
-// target tau, the clock at the step (virtual seconds for the distributed
-// engines, wall seconds for the sequential ones), and — for the LU-family
+// target tau, the rank's virtual clock at the step (process CPU seconds for a
+// sequential solve, which runs as one rank), and — for the LU-family
 // methods — the Schur-complement fill diagnostics. This is the raw series
 // behind the paper's accuracy-vs-cost trajectories (Figs. 2-3, Table II),
 // surfaced uniformly through LowRankApprox and the JSONL run reports.
@@ -17,7 +17,7 @@ struct IterationSample {
   long long rank = 0;           // accumulated rank K after the iteration
   double indicator_rel = 0.0;   // error indicator relative to ||A||_F
   double tau = 0.0;             // fixed-precision target in force
-  double time_seconds = 0.0;    // cumulative; virtual (dist) or wall (seq)
+  double time_seconds = 0.0;    // cumulative virtual seconds of rank 0
   // LU-family Schur-complement diagnostics; negative = not applicable.
   long long schur_nnz = -1;
   double fill_density = -1.0;
@@ -26,42 +26,20 @@ struct IterationSample {
 
 using TelemetrySeries = std::vector<IterationSample>;
 
-/// Zip the parallel per-iteration vectors every solver already records into
-/// a TelemetrySeries (shortest vector wins, defensively).
-template <typename IndexT>
-TelemetrySeries make_series(const std::vector<double>& time_seconds,
-                            const std::vector<double>& indicator_rel,
-                            const std::vector<IndexT>& rank, double tau) {
-  std::size_t n = time_seconds.size();
-  n = n < indicator_rel.size() ? n : indicator_rel.size();
-  n = n < rank.size() ? n : rank.size();
-  TelemetrySeries out;
-  out.reserve(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    IterationSample s;
-    s.iteration = static_cast<long long>(i) + 1;
-    s.rank = static_cast<long long>(rank[i]);
-    s.indicator_rel = indicator_rel[i];
-    s.tau = tau;
-    s.time_seconds = time_seconds[i];
-    out.push_back(s);
-  }
-  return out;
-}
-
-/// Attach the LU-family fill diagnostics to an existing series (vectors may
-/// be shorter than the series; missing entries stay at the -1 sentinels).
-template <typename IndexT>
-void attach_fill(TelemetrySeries& series, const std::vector<double>& fill,
-                 const std::vector<IndexT>& schur_nnz,
-                 const std::vector<IndexT>& factor_nnz) {
-  for (std::size_t i = 0; i < series.size(); ++i) {
-    if (i < fill.size()) series[i].fill_density = fill[i];
-    if (i < schur_nnz.size())
-      series[i].schur_nnz = static_cast<long long>(schur_nnz[i]);
-    if (i < factor_nnz.size())
-      series[i].factor_nnz = static_cast<long long>(factor_nnz[i]);
-  }
+/// Append the sample of the iteration that just finished (its 1-based
+/// number is the series length after the append); returns it so callers can
+/// fill the LU-family diagnostics.
+inline IterationSample& append_sample(TelemetrySeries& series, long long rank,
+                                      double indicator_rel, double tau,
+                                      double time_seconds) {
+  IterationSample s;
+  s.iteration = static_cast<long long>(series.size()) + 1;
+  s.rank = rank;
+  s.indicator_rel = indicator_rel;
+  s.tau = tau;
+  s.time_seconds = time_seconds;
+  series.push_back(s);
+  return series.back();
 }
 
 }  // namespace lra::obs

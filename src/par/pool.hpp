@@ -12,16 +12,15 @@
 //      partials are combined serially in chunk order. Running with 1, 4 or
 //      64 workers therefore yields identical bits.
 //
-//   2. *Virtual-time neutrality.* The simulated-distributed runtime (par/
-//      simcomm) charges each rank's compute with CLOCK_THREAD_CPUTIME_ID of
-//      the rank's own thread. Any pool worker spawned inside a rank would
-//      escape that accounting, so SimWorld::run() pins a ScopedSerial guard
-//      on every rank thread: within simulated ranks all pool entry points
-//      degrade to plain inline loops and the virtual clocks are bit-identical
-//      to the single-threaded runtime. Real threads accelerate the
-//      *sequential* engine (lra_cli approx without --np, the bench
-//      harnesses); simulated ranks model distributed memory and stay
-//      single-threaded per rank by design.
+//   2. *Virtual-time neutrality.* With P > 1 ranks the simulated-
+//      distributed runtime (par/simcomm) charges each rank's compute with
+//      CLOCK_THREAD_CPUTIME_ID of the rank's own thread. Any pool worker
+//      spawned inside a rank would escape that accounting, so SimWorld::run()
+//      pins a ScopedSerial guard on every rank thread: within those ranks all
+//      pool entry points degrade to plain inline loops. Real threads
+//      accelerate the sequential solve (lra_cli approx without --np or with
+//      --np=1, the bench harnesses): a one-rank world runs on the calling
+//      thread without the guard and charges process CPU time instead.
 //
 //   3. *No work stealing.* A stealing scheduler makes the partition depend
 //      on runtime timing; static slicing keeps the performance profile

@@ -612,31 +612,41 @@ void SimWorld::run(const std::function<void(RankCtx&)>& body) {
     }
   }
 
-  std::vector<std::thread> threads;
   std::exception_ptr first_error;
   std::mutex err_mu;
-  threads.reserve(static_cast<std::size_t>(nranks_));
-  for (int r = 0; r < nranks_; ++r) {
-    threads.emplace_back([&, r] {
-      // Virtual clocks charge CLOCK_THREAD_CPUTIME_ID of *this* thread; any
-      // pool worker forked inside a rank would escape the accounting, so the
-      // thread-pool kernels run inline within simulated ranks and the
-      // virtual clocks stay bit-identical to the single-threaded runtime.
-      ThreadPool::ScopedSerial serial;
-      try {
-        body(ctx[r]);
-      } catch (const SimAbort&) {
-        // Peer unwound by abort_run: not an error of this rank.
-      } catch (...) {
-        {
-          std::lock_guard<std::mutex> lock(err_mu);
-          if (!first_error) first_error = std::current_exception();
-        }
-        abort_run();
+  auto run_rank = [&](int r) {
+    try {
+      body(ctx[r]);
+    } catch (const SimAbort&) {
+      // Peer unwound by abort_run: not an error of this rank.
+    } catch (...) {
+      {
+        std::lock_guard<std::mutex> lock(err_mu);
+        if (!first_error) first_error = std::current_exception();
       }
-    });
+      abort_run();
+    }
+  };
+  if (nranks_ == 1) {
+    // The sequential solve: the body runs here, its kernels fork onto the
+    // pool, and the clock charges process CPU time so the workers count.
+    ctx[0].process_clock_ = true;
+    run_rank(0);
+  } else {
+    std::vector<std::thread> threads;
+    threads.reserve(static_cast<std::size_t>(nranks_));
+    for (int r = 0; r < nranks_; ++r) {
+      threads.emplace_back([&, r] {
+        // Virtual clocks charge CLOCK_THREAD_CPUTIME_ID of *this* thread; any
+        // pool worker forked inside a rank would escape the accounting, so
+        // the thread-pool kernels run inline within simulated ranks and the
+        // virtual clocks stay bit-identical to the single-threaded runtime.
+        ThreadPool::ScopedSerial serial;
+        run_rank(r);
+      });
+    }
+    for (auto& t : threads) t.join();
   }
-  for (auto& t : threads) t.join();
 
   // Aggregate before rethrowing: an aborted run still reports its virtual
   // times, counters and traces (the harness asserts on them).

@@ -7,7 +7,8 @@
 //
 //   * compute sections advance it by measured per-thread CPU time
 //     (CLOCK_THREAD_CPUTIME_ID), which is immune to timesharing P simulated
-//     ranks onto a single physical core;
+//     ranks onto a single physical core (a one-rank world charges process
+//     CPU time instead; see below);
 //   * communication advances it per the alpha-beta CostModel (point-to-point:
 //     receiver waits for sender's send timestamp + transfer cost; collectives:
 //     all participants synchronize to max(entry clocks) + collective cost).
@@ -37,13 +38,19 @@
 // reduce to a null-pointer check and the virtual-clock arithmetic is
 // bit-identical to the uninstrumented runtime.
 //
-// Interaction with the shared-memory ThreadPool (par/pool.hpp): SimWorld
-// pins a ThreadPool::ScopedSerial guard on every rank thread, so kernels
-// invoked inside compute() never fork onto the pool — a pool worker's CPU
-// time would escape the CLOCK_THREAD_CPUTIME_ID accounting. Simulated ranks
-// are single-threaded per rank by design; the pool accelerates only the
-// sequential engine. Consequence: virtual-time results are independent of
-// --threads / LRA_NUM_THREADS.
+// Interaction with the shared-memory ThreadPool (par/pool.hpp): with P > 1,
+// SimWorld pins a ThreadPool::ScopedSerial guard on every rank thread, so
+// kernels invoked inside compute() never fork onto the pool — a pool
+// worker's CPU time would escape the CLOCK_THREAD_CPUTIME_ID accounting.
+// Simulated ranks are single-threaded per rank by design, and their virtual
+// times are independent of --threads / LRA_NUM_THREADS.
+//
+// P = 1 is the sequential solve: the solvers' sequential entry points run
+// their SPMD body in a one-rank world. run() then calls the body on the
+// calling thread, pins no ScopedSerial guard (the pool serves its kernels)
+// and charges compute with CLOCK_PROCESS_CPUTIME_ID, so the pool workers'
+// CPU time is counted. The solvers' typed Matrix collectives (core/spmd)
+// are the identity there.
 
 #include <algorithm>
 #include <atomic>
@@ -182,19 +189,20 @@ class RankCtx {
   /// pointer bookkeeping — never touches the clock or the heap.
   obs::prof::PhaseStack& phases() { return phases_; }
 
-  /// Run `f`, charging its thread-CPU time to the virtual clock.
+  /// Run `f`, charging its CPU time to the virtual clock (thread CPU time;
+  /// process CPU time in a one-rank world).
   template <typename F>
   decltype(auto) compute(F&& f) {
-    const double t0 = thread_cpu_seconds();
+    const double t0 = cpu_now();
     if constexpr (std::is_void_v<decltype(f())>) {
       f();
-      const double dt = straggle(thread_cpu_seconds() - t0);
+      const double dt = straggle(cpu_now() - t0);
       const double v0 = vclock_;
       vclock_ += dt;
       trace_compute("compute", v0, dt);
     } else {
       decltype(auto) r = f();
-      const double dt = straggle(thread_cpu_seconds() - t0);
+      const double dt = straggle(cpu_now() - t0);
       const double v0 = vclock_;
       vclock_ += dt;
       trace_compute("compute", v0, dt);
@@ -205,17 +213,17 @@ class RankCtx {
   /// Same, also accumulating into the named kernel timer (Figs. 5-6).
   template <typename F>
   decltype(auto) compute(const std::string& kernel, F&& f) {
-    const double t0 = thread_cpu_seconds();
+    const double t0 = cpu_now();
     if constexpr (std::is_void_v<decltype(f())>) {
       f();
-      const double dt = straggle(thread_cpu_seconds() - t0);
+      const double dt = straggle(cpu_now() - t0);
       const double v0 = vclock_;
       vclock_ += dt;
       kernel_time_[kernel] += dt;
       trace_compute(kernel, v0, dt);
     } else {
       decltype(auto) r = f();
-      const double dt = straggle(thread_cpu_seconds() - t0);
+      const double dt = straggle(cpu_now() - t0);
       const double v0 = vclock_;
       vclock_ += dt;
       kernel_time_[kernel] += dt;
@@ -393,6 +401,12 @@ class RankCtx {
     }
   }
 
+  /// The compute clock: this thread's CPU time, or the whole process's in
+  /// a one-rank world (where pool workers run the rank's kernels).
+  double cpu_now() const {
+    return process_clock_ ? process_cpu_seconds() : thread_cpu_seconds();
+  }
+
   /// Straggler fault: inflate measured CPU time by the plan's factor. The
   /// factor is exactly 1.0 when no plan marks this rank, and x * 1.0 == x
   /// for every finite double, so unfaulted clocks stay bit-identical.
@@ -423,6 +437,7 @@ class RankCtx {
   int rank_;
   double vclock_ = 0.0;
   double compute_factor_ = 1.0;  // straggler CPU-time inflation
+  bool process_clock_ = false;   // one-rank world: charge process CPU time
   std::map<std::string, double> kernel_time_;
   // Per-destination send and per-rank collective sequence numbers: the keys
   // of the deterministic fault-decision streams (only advanced when a fault
@@ -473,9 +488,10 @@ class SimWorld {
 
   /// Execute the SPMD body on all ranks; returns when every rank finished.
   /// Exceptions thrown by any rank are rethrown here (first one wins).
-  /// Each rank thread runs under a ThreadPool::ScopedSerial guard — see the
-  /// file comment — so the body may freely call pool-parallel kernels; they
-  /// execute inline on the rank.
+  /// With P > 1 each rank thread runs under a ThreadPool::ScopedSerial guard
+  /// — see the file comment — so the body may freely call pool-parallel
+  /// kernels; they execute inline on the rank. With P = 1 the body runs on
+  /// the calling thread and its kernels use the pool.
   void run(const std::function<void(RankCtx&)>& body);
 
   int size() const { return nranks_; }

@@ -15,8 +15,9 @@
 namespace lra::sim {
 namespace {
 
-RandQbOptions qb_opts(const ReproConfig& c) {
-  RandQbOptions o;
+ApproxOptions approx_opts(const ReproConfig& c) {
+  ApproxOptions o;
+  o.method = c.method;
   o.block_size = c.block_size;
   o.tau = c.tau;
   o.power = c.power;
@@ -25,23 +26,9 @@ RandQbOptions qb_opts(const ReproConfig& c) {
   return o;
 }
 
-LuCrtpOptions lu_opts(const ReproConfig& c) {
-  LuCrtpOptions o;
-  o.block_size = c.block_size;
-  o.tau = c.tau;
-  o.max_rank = c.max_rank;
-  if (c.method == Method::kIlutCrtp) o.threshold = ThresholdMode::kIlut;
-  return o;
-}
-
-RandUbvOptions ubv_opts(const ReproConfig& c) {
-  RandUbvOptions o;
-  o.block_size = c.block_size;
-  o.tau = c.tau;
-  o.seed = c.solver_seed;
-  o.max_rank = c.max_rank;
-  return o;
-}
+RandQbOptions qb_opts(const ReproConfig& c) { return randqb_options(approx_opts(c)); }
+LuCrtpOptions lu_opts(const ReproConfig& c) { return lu_crtp_options(approx_opts(c)); }
+RandUbvOptions ubv_opts(const ReproConfig& c) { return randubv_options(approx_opts(c)); }
 
 template <typename R>
 void fill_decisions(SolverDigest& d, const R& r) {

@@ -1,24 +1,24 @@
 #pragma once
-// Differential oracle: run the sequential and simulated-distributed engines
-// of a solver on the same generated matrix and cross-check them, with and
-// without an installed fault plan.
+// Differential oracle: run a solver's SPMD body sequentially (one rank) and
+// on the config's simulated ranks over the same generated matrix and
+// cross-check the runs, with and without an installed fault plan.
 //
 // Checks and their documented tolerances (see EXPERIMENTS.md, HARNESS):
 //
 //   sequential vs clean distributed
 //     * termination statuses are identical;
 //     * rank decisions agree within one block (|K_seq - K_dist| <=
-//       block_size: the engines pivot/sketch over different data layouts, so
+//       block_size: the runs pivot/sketch over different data layouts, so
 //       they may stop one panel apart, never more);
 //     * both converged results are *honest*: the dense exact error satisfies
 //       ||A - H W||_F <= 1.1 * max(tau * ||A||_F, indicator) (the shared
 //       ExpectHonestBound from the robustness tests);
 //     * the distributed run's comm counters satisfy every cross-rank
 //       invariant (CommStats::check_invariants) and the run is not aborted.
-//     Error indicators are NOT compared across engines: tournament pivoting
-//     over a reduction tree may select different pivots than the sequential
-//     tournament, and TSQR reassociates sums — both engines only promise the
-//     honesty bound above.
+//     Error indicators are NOT compared across rank counts: tournament
+//     pivoting over a reduction tree may select different pivots than the
+//     one-rank tournament, and TSQR reassociates sums — both runs only
+//     promise the honesty bound above.
 //
 //   clean distributed vs benign-faulted distributed (the plan with its
 //   flip clause removed: delay / dup / straggle only)
@@ -64,8 +64,8 @@ struct SolverDigest {
   double indicator = 0.0;    // absolute, at exit
   double anorm_f = 0.0;
   double exact_error = -1.0; // dense ||A - H W||_F; -1 when not computed
-  double virtual_seconds = 0.0;  // 0 for the sequential engine
-  obs::CommStats comm;           // empty for the sequential engine
+  double virtual_seconds = 0.0;  // 0 for the sequential run
+  obs::CommStats comm;           // empty for the sequential run
 };
 
 /// Run the config's solver sequentially. Computes the dense exact error
@@ -82,7 +82,7 @@ struct OracleReport {
   bool pass = true;
   std::vector<std::string> failures;  // human-readable, empty iff pass
 
-  SolverDigest seq;    // sequential engine
+  SolverDigest seq;    // sequential (one-rank) run
   SolverDigest clean;  // distributed, no faults
   bool ran_benign = false;
   SolverDigest benign;  // distributed, plan minus flips

@@ -3,7 +3,8 @@
 //
 // The virtual-time runtime (par/) charges compute sections with *thread CPU
 // time* so that timesharing many simulated ranks onto few physical cores does
-// not distort per-rank costs.
+// not distort per-rank costs; a one-rank world charges *process CPU time*, so
+// the thread-pool workers serving its kernels are counted too.
 
 #include <chrono>
 
@@ -27,5 +28,8 @@ class Stopwatch {
 
 /// CPU time consumed by the calling thread, in seconds.
 double thread_cpu_seconds() noexcept;
+
+/// CPU time consumed by all threads of the process, in seconds.
+double process_cpu_seconds() noexcept;
 
 }  // namespace lra

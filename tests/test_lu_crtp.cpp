@@ -162,17 +162,6 @@ TEST(LuCrtp, ExactlyLowRankInputTerminatesEarly) {
   EXPECT_LE(r.rank, 40);
 }
 
-TEST(LuCrtp, StableLVariantAlsoConverges) {
-  const CscMatrix a = test_matrix();
-  LuCrtpOptions o;
-  o.block_size = 10;
-  o.tau = 1e-2;
-  o.stable_l = true;
-  const LuCrtpResult r = lu_crtp(a, o);
-  EXPECT_EQ(r.status, Status::kConverged);
-  EXPECT_LT(lu_crtp_exact_error(a, r), o.tau * r.anorm_f);
-}
-
 TEST(LuCrtp, ZeroMatrixConvergesImmediately) {
   CscMatrix a(50, 50);
   LuCrtpOptions o;

@@ -5,12 +5,16 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+
 #include "core/ilut_crtp.hpp"
 #include "core/lu_crtp.hpp"
+#include "core/lu_crtp_dist.hpp"
 #include "core/randqb_ei.hpp"
+#include "core/randqb_ei_dist.hpp"
 #include "core/randubv.hpp"
-#include "dense/blas.hpp"
-#include "dense/svd.hpp"
+#include "core/randubv_dist.hpp"
+#include "gen/families.hpp"
 #include "gen/givens_spray.hpp"
 #include "gen/spectrum.hpp"
 #include "sparse/coo.hpp"
@@ -134,29 +138,6 @@ TEST(Robustness, RandUbvOnRankOne) {
   EXPECT_LT(randubv_exact_error(a, r), 1e-6 * a.frobenius_norm() * 1.01);
 }
 
-TEST(Robustness, SpectralNormTermination) {
-  // The new ErrorNorm::kSpectral mode: the spectral criterion is weaker
-  // than Frobenius (||.||_2 <= ||.||_F), so it must stop at most as late,
-  // and the exact spectral residual must satisfy the bound.
-  const auto sigma = geometric_spectrum(120, 4.0, 0.9);
-  const CscMatrix a = givens_spray(
-      sigma, {.left_passes = 2, .right_passes = 2, .bandwidth = 0, .seed = 9});
-  RandQbOptions fro;
-  fro.block_size = 8;
-  fro.tau = 1e-2;
-  RandQbOptions spec = fro;
-  spec.norm = ErrorNorm::kSpectral;
-  const RandQbResult rf = randqb_ei(a, fro);
-  const RandQbResult rs = randqb_ei(a, spec);
-  EXPECT_EQ(rs.status, Status::kConverged);
-  EXPECT_LE(rs.rank, rf.rank);
-  // Verify against the exact spectral residual (dense, small matrix).
-  Matrix res = a.to_dense();
-  gemm(res, rs.q, rs.b, -1.0, 1.0);
-  const double exact_spec = singular_values(res).front();
-  EXPECT_LT(exact_spec, 1.3 * 1e-2 * sigma[0]);  // estimator slack
-}
-
 TEST(Robustness, ZeroToleranceRunsToFullRank) {
   const CscMatrix a =
       CscMatrix::from_dense(testing::random_matrix(30, 30, 11), 0.3);
@@ -165,6 +146,43 @@ TEST(Robustness, ZeroToleranceRunsToFullRank) {
   o.tau = 0.0;
   const RandQbResult r = randqb_ei(a, o);
   EXPECT_EQ(r.rank, 30);  // hit the budget, never "converged" at tau = 0
+}
+
+// A block size below 1 never advanced the rank: RandQB_EI and RandUBV looped
+// forever (lra_cli approx --k=0 hung). Every solver now rejects it with a
+// structured error, sequentially (P = 1) and distributed (P = 2).
+TEST(Robustness, NonPositiveBlockSizeRejected) {
+  const CscMatrix a =
+      CscMatrix::from_dense(testing::random_matrix(30, 30, 11), 0.3);
+  for (const Index k : {Index{0}, Index{-3}}) {
+    RandQbOptions q;
+    q.block_size = k;
+    EXPECT_THROW(randqb_ei(a, q), std::invalid_argument);
+    EXPECT_THROW(randqb_ei_dist(a, q, 2), std::invalid_argument);
+    RandUbvOptions u;
+    u.block_size = k;
+    EXPECT_THROW(randubv(a, u), std::invalid_argument);
+    EXPECT_THROW(randubv_dist(a, u, 2), std::invalid_argument);
+    LuCrtpOptions l;
+    l.block_size = k;
+    EXPECT_THROW(lu_crtp(a, l), std::invalid_argument);
+    EXPECT_THROW(lu_crtp_dist(a, l, 2), std::invalid_argument);
+  }
+}
+
+// ColamdMode::kEvery used to run silently as kFirst on more than one rank.
+// It reorders the whole Schur complement, so it works on one rank and is a
+// structured error on two.
+TEST(Robustness, ColamdEveryNeedsOneRank) {
+  const CscMatrix a = circuit_like(150, 4, 2, 17);
+  LuCrtpOptions o;
+  o.block_size = 8;
+  o.tau = 1e-2;
+  o.colamd = ColamdMode::kEvery;
+  const LuCrtpResult r = lu_crtp_dist(a, o, 1).result;
+  EXPECT_EQ(r.status, Status::kConverged);
+  EXPECT_LT(lu_crtp_exact_error(a, r), o.tau * r.anorm_f);
+  EXPECT_THROW(lu_crtp_dist(a, o, 2), std::invalid_argument);
 }
 
 }  // namespace

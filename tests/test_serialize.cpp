@@ -7,6 +7,7 @@
 
 #include "core/ilut_crtp.hpp"
 #include "core/randqb_ei.hpp"
+#include "core/randubv.hpp"
 #include "gen/givens_spray.hpp"
 #include "gen/spectrum.hpp"
 #include "test_util.hpp"
@@ -56,6 +57,24 @@ TEST(Serialize, QbRoundTrip) {
   EXPECT_EQ(back.rank, r.rank);
   EXPECT_EQ(max_abs_diff(back.q, r.q), 0.0);
   EXPECT_EQ(max_abs_diff(back.b, r.b), 0.0);
+  std::remove(path.c_str());
+}
+
+TEST(Serialize, UbvRoundTrip) {
+  const CscMatrix a = test_matrix();
+  RandUbvOptions o;
+  o.block_size = 10;
+  o.tau = 1e-2;
+  const RandUbvResult r = randubv(a, o);
+  const std::string path = ::testing::TempDir() + "/lra_ubv.fact";
+  save_factorization(path, r);
+  EXPECT_EQ(stored_factorization_kind(path), "ubv");
+  const RandUbvResult back = load_ubv_factorization(path);
+  EXPECT_EQ(back.rank, r.rank);
+  EXPECT_EQ(back.status, r.status);
+  EXPECT_EQ(back.u, r.u);
+  EXPECT_EQ(back.b, r.b);
+  EXPECT_EQ(back.v, r.v);
   std::remove(path.c_str());
 }
 

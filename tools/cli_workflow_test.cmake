@@ -136,6 +136,41 @@ foreach(method randqb lu)
   file(REMOVE ${fact_naive})
 endforeach()
 
+# One body per method: a sequential solve is the SPMD body run as one rank,
+# so for every method the factor files must be byte-identical across pool
+# widths and identical to the --np=1 run; a block size of 0 must be rejected
+# with an error (it used to hang RandQB_EI and RandUBV).
+foreach(method randqb ubv lu ilut)
+  set(fact_t1 ${WORK_DIR}/cli_test_${method}_t1.fact)
+  run(${LRA_CLI} approx --mtx=${mtx} --method=${method} --tau=1e-2
+      --threads=1 --out=${fact_t1})
+  foreach(leg "--threads=4" "--np=1")
+    set(fact_leg ${WORK_DIR}/cli_test_${method}_leg.fact)
+    run(${LRA_CLI} approx --mtx=${mtx} --method=${method} --tau=1e-2 ${leg}
+        --out=${fact_leg})
+    execute_process(
+      COMMAND ${CMAKE_COMMAND} -E compare_files ${fact_t1} ${fact_leg}
+      RESULT_VARIABLE rc)
+    if(NOT rc EQUAL 0)
+      message(FATAL_ERROR "${method}: ${leg} changed the factor file "
+                          "(${fact_t1} vs ${fact_leg})")
+    endif()
+    file(REMOVE ${fact_leg})
+  endforeach()
+  file(REMOVE ${fact_t1})
+
+  execute_process(
+    COMMAND ${LRA_CLI} approx --mtx=${mtx} --method=${method} --k=0
+    RESULT_VARIABLE rc OUTPUT_VARIABLE out ERROR_VARIABLE err TIMEOUT 60)
+  if(NOT rc MATCHES "^[1-9][0-9]*$")
+    message(FATAL_ERROR "${method} --k=0 did not fail cleanly (${rc}):\n${err}")
+  endif()
+  string(FIND "${err}" "block size must be >= 1" found)
+  if(found EQUAL -1)
+    message(FATAL_ERROR "${method} --k=0 did not explain itself:\n${err}")
+  endif()
+endforeach()
+
 # Autotune leg: `tune` writes a schema-valid cache that the next invocation
 # picks up from $LRA_AUTOTUNE_CACHE (any valid geometry must leave the
 # factors byte-identical — the config is a pure perf knob).

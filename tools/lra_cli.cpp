@@ -9,7 +9,8 @@
 //             [--np=N] [--trace=trace.json] [--report=report.jsonl]
 //             [--faults=SPEC] [--comm-algo=tree|ring|auto]
 //       Fixed-precision approximation; optionally store the factors.
-//       --np runs the simulated-distributed engine on N virtual ranks;
+//       --np runs the solver on N simulated ranks (--np=1 is the same solve
+//       as the sequential run, reported with the virtual-time digest);
 //       --trace writes a Chrome trace (chrome://tracing / Perfetto) of the
 //       virtual-time spans and implies --np (default 4); --report writes a
 //       JSONL run report (meta/iteration/comm/summary records) for either
@@ -36,8 +37,8 @@
 //
 //   Every subcommand accepts --threads=N to size the shared-memory kernel
 //   pool (default: LRA_NUM_THREADS or the hardware concurrency; 0 or
-//   negative values warn and fall back to 1). Simulated ranks (--np) always
-//   compute single-threaded per rank so virtual times stay comparable.
+//   negative values warn and fall back to 1). With --np=2 or more, simulated
+//   ranks compute single-threaded per rank so virtual times stay comparable.
 //   Every subcommand also accepts
 //   --kernel-variant=naive|blocked|simd|simd-strict to pick the
 //   compute-kernel implementations (default: LRA_KERNEL_VARIANT or simd);
@@ -194,6 +195,7 @@ int cmd_approx(const Cli& cli) {
   // (deterministic methods at coarse-to-moderate tau), sequential runs with
   // the sequential one.
   const Method method = np > 0 ? choose_method_dist(a, o) : choose_method(a, o);
+  o.method = method;
 
   std::unique_ptr<obs::ReportWriter> report;
   if (!report_path.empty())
@@ -215,40 +217,26 @@ int cmd_approx(const Cli& cli) {
     report->write(meta);
   }
 
+  const std::string out = cli.get("out", "");
   if (np > 0) {
     sim.collect_trace = !trace_path.empty() || want_profile;
     DistDigest g;
+    // Store the factors (when asked) before the digest drops them.
+    auto keep = [&](auto&& d) {
+      if (!out.empty()) save_factorization(out, d.result);
+      g = digest(std::move(d));
+    };
     switch (method) {
-      case Method::kRandQbEi: {
-        RandQbOptions qo;
-        qo.block_size = o.block_size;
-        qo.tau = o.tau;
-        qo.power = o.power;
-        qo.seed = o.seed;
-        qo.max_rank = o.max_rank;
-        g = digest(randqb_ei_dist(a, qo, np, sim));
+      case Method::kRandQbEi:
+        keep(randqb_ei_dist(a, randqb_options(o), np, sim));
         break;
-      }
       case Method::kLuCrtp:
-      case Method::kIlutCrtp: {
-        LuCrtpOptions lo;
-        lo.block_size = o.block_size;
-        lo.tau = o.tau;
-        lo.max_rank = o.max_rank;
-        lo.colamd = o.colamd;
-        if (method == Method::kIlutCrtp) lo.threshold = ThresholdMode::kIlut;
-        g = digest(lu_crtp_dist(a, lo, np, sim));
+      case Method::kIlutCrtp:
+        keep(lu_crtp_dist(a, lu_crtp_options(o), np, sim));
         break;
-      }
-      case Method::kRandUbv: {
-        RandUbvOptions uo;
-        uo.block_size = o.block_size;
-        uo.tau = o.tau;
-        uo.seed = o.seed;
-        uo.max_rank = o.max_rank;
-        g = digest(randubv_dist(a, uo, np, sim));
+      case Method::kRandUbv:
+        keep(randubv_dist(a, randubv_options(o), np, sim));
         break;
-      }
       case Method::kAuto:
         break;  // unreachable: choose_method resolved it
     }
@@ -298,6 +286,7 @@ int cmd_approx(const Cli& cli) {
       std::printf("report    -> %s (%d records)\n", report_path.c_str(),
                   report->records());
     }
+    if (!out.empty()) std::printf("factors   -> %s\n", out.c_str());
     if (want_profile && !prof.conserved) {
       for (const std::string& v : prof.violations)
         std::fprintf(stderr, "profile violation: %s\n", v.c_str());
@@ -335,17 +324,10 @@ int cmd_approx(const Cli& cli) {
                 report->records());
   }
 
-  const std::string out = cli.get("out", "");
   if (!out.empty()) {
-    if (const auto* lu = approx.as_lu()) {
-      save_factorization(out, *lu);
-    } else if (const auto* qb = approx.as_randqb()) {
-      save_factorization(out, *qb);
-    } else {
-      std::fprintf(stderr, "storing %s factorizations is not supported\n",
-                   to_string(approx.method()));
-      return 1;
-    }
+    if (const auto* lu = approx.as_lu()) save_factorization(out, *lu);
+    if (const auto* qb = approx.as_randqb()) save_factorization(out, *qb);
+    if (const auto* ubv = approx.as_ubv()) save_factorization(out, *ubv);
     std::printf("factors   -> %s\n", out.c_str());
   }
   return 0;
@@ -416,6 +398,10 @@ int cmd_verify(const Cli& cli) {
   if (kind == "lu") {
     const LuCrtpResult r = load_lu_factorization(path);
     err = lu_crtp_exact_error(a, r);
+    rank = r.rank;
+  } else if (kind == "ubv") {
+    const RandUbvResult r = load_ubv_factorization(path);
+    err = randubv_exact_error(a, r);
     rank = r.rank;
   } else {
     const RandQbResult r = load_qb_factorization(path);
