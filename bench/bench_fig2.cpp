@@ -4,7 +4,8 @@
 //
 // Each method runs once to the tightest tolerance; its telemetry supplies
 // (runtime, achieved-quality, rank) triples per iteration. The runtime is
-// the virtual makespan so far (process CPU time at --np=1).
+// the virtual makespan so far (at --np=1 the CPU time of the calling thread
+// and of the pool workers' slices).
 //
 //   ./bench_fig2 [--scale=0.2] [--np=8] [--k=32] [--tau_min=1e-3]
 //                [--matrices=M3,M4]

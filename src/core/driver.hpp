@@ -65,7 +65,8 @@ class LowRankApprox {
   /// Stored values in the factors (memory footprint proxy).
   Index factor_values() const;
   /// Per-iteration convergence telemetry, uniform across all methods; its
-  /// time_seconds is the solve's process CPU time so far.
+  /// time_seconds is the solve's CPU time so far (calling thread plus the
+  /// pool workers' slices).
   const obs::TelemetrySeries& telemetry() const;
 
   /// y = (H W) x — apply the approximation to a vector.

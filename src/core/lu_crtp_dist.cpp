@@ -5,6 +5,8 @@
 #include <mutex>
 #include <numeric>
 #include <stdexcept>
+#include <tuple>
+#include <utility>
 
 #include "core/spmd.hpp"
 #include "dense/lu.hpp"
@@ -13,7 +15,6 @@
 #include "par/pool.hpp"
 #include "qrtp/qrtp_dist.hpp"
 #include "sparse/colamd.hpp"
-#include "sparse/coo.hpp"
 #include "sparse/drop.hpp"
 #include "sparse/ops.hpp"
 #include "sparse/spgemm.hpp"
@@ -47,6 +48,50 @@ CscMatrix to_csc(Index rows, Index cols, std::vector<Triplet> ts) {
   return CscMatrix(rows, cols, std::move(colptr), std::move(rowind),
                    std::move(values));
 }
+
+// Column-by-column CSC assembly for the row_perm blocks. Entries are
+// distinct per column; exact zeros are dropped and each column's rows are
+// sorted when it is closed, so the result equals what CooBuilder::build()
+// makes of the same triplets, without its global sort. Rows usually arrive
+// ascending already (the source columns are sorted and the row renumbering
+// is monotone), so the sort runs only on the U12 columns.
+class ColumnAppender {
+ public:
+  explicit ColumnAppender(Index rows) : rows_(rows), colptr_{0} {}
+
+  void add(Index i, double v) {
+    if (v == 0.0) return;
+    rowind_.push_back(i);
+    values_.push_back(v);
+  }
+
+  void end_column() {
+    const std::size_t c0 = static_cast<std::size_t>(colptr_.back());
+    if (!std::is_sorted(rowind_.begin() + static_cast<std::ptrdiff_t>(c0),
+                        rowind_.end())) {
+      scratch_.clear();
+      for (std::size_t t = c0; t < rowind_.size(); ++t)
+        scratch_.emplace_back(rowind_[t], values_[t]);
+      std::sort(scratch_.begin(), scratch_.end(),
+                [](const auto& x, const auto& y) { return x.first < y.first; });
+      for (std::size_t t = c0; t < rowind_.size(); ++t)
+        std::tie(rowind_[t], values_[t]) = scratch_[t - c0];
+    }
+    colptr_.push_back(static_cast<Index>(rowind_.size()));
+  }
+
+  CscMatrix build() && {
+    const Index cols = static_cast<Index>(colptr_.size()) - 1;
+    return CscMatrix(rows_, cols, std::move(colptr_), std::move(rowind_),
+                     std::move(values_));
+  }
+
+ private:
+  Index rows_;
+  std::vector<Index> colptr_, rowind_;
+  std::vector<double> values_;
+  std::vector<std::pair<Index, double>> scratch_;
+};
 
 }  // namespace
 
@@ -223,7 +268,7 @@ DistLuResult lu_crtp_dist(const CscMatrix& a, const LuCrtpOptions& opts,
         // Winner columns split into A11 (dense) and A21 (all ranks hold the
         // replicated winners after the tournament broadcast).
         ctx.compute("row_perm", [&] {
-          CooBuilder b21(m_a - kk, kk);
+          ColumnAppender b21(m_a - kk);
           for (Index c = 0; c < kk; ++c) {
             const auto rows = winners.cols.col_rows(c);
             const auto vals = winners.cols.col_values(c);
@@ -231,10 +276,11 @@ DistLuResult lu_crtp_dist(const CscMatrix& a, const LuCrtpOptions& opts,
               if (selpos[rows[t]] >= 0)
                 a11(selpos[rows[t]], c) = vals[t];
               else
-                b21.add(restpos[rows[t]], c, vals[t]);
+                b21.add(restpos[rows[t]], vals[t]);
             }
+            b21.end_column();
           }
-          a21 = b21.build();
+          a21 = std::move(b21).build();
         });
 
         // Local columns (minus any winners we own) split into U12 and A22,
@@ -250,21 +296,22 @@ DistLuResult lu_crtp_dist(const CscMatrix& a, const LuCrtpOptions& opts,
               keep.push_back(static_cast<Index>(j));
               next_col_ids.push_back(col_ids[j]);
             }
-          const Index nkeep = static_cast<Index>(keep.size());
-          CooBuilder b12(kk, nkeep);
-          CooBuilder b22(m_a - kk, nkeep);
-          for (Index j = 0; j < nkeep; ++j) {
-            const auto rows = s_loc.col_rows(keep[static_cast<std::size_t>(j)]);
-            const auto vals = s_loc.col_values(keep[static_cast<std::size_t>(j)]);
+          ColumnAppender b12(kk);
+          ColumnAppender b22(m_a - kk);
+          for (const Index j : keep) {
+            const auto rows = s_loc.col_rows(j);
+            const auto vals = s_loc.col_values(j);
             for (std::size_t t = 0; t < rows.size(); ++t) {
               if (selpos[rows[t]] >= 0)
-                b12.add(selpos[rows[t]], j, vals[t]);
+                b12.add(selpos[rows[t]], vals[t]);
               else
-                b22.add(restpos[rows[t]], j, vals[t]);
+                b22.add(restpos[rows[t]], vals[t]);
             }
+            b12.end_column();
+            b22.end_column();
           }
-          u12_loc = b12.build();
-          a22_loc = b22.build();
+          u12_loc = std::move(b12).build();
+          a22_loc = std::move(b22).build();
         });
       }
 
@@ -331,15 +378,38 @@ DistLuResult lu_crtp_dist(const CscMatrix& a, const LuCrtpOptions& opts,
         const std::vector<double> allx =
             p == 1 ? std::move(payload) : ctx.allgatherv(payload);
         ctx.compute("solve_a21", [&] {
-          CooBuilder xb(m_a - kk, kk);
-          for (std::size_t pos = 0; pos + stride <= allx.size(); pos += stride) {
-            const Index row = static_cast<Index>(allx[pos]);
+          // X in CSC straight from the row records: order the records by
+          // row (at P > 1 the ranks' blocks arrive one after another), count
+          // each column's nonzeros, then fill. Every row has one record and
+          // exact zeros are dropped, so this is CooBuilder::build()'s result
+          // without its sort of every entry.
+          const std::size_t nrec = allx.size() / stride;
+          auto rec = [&](std::size_t t) { return allx.data() + t * stride; };
+          auto by_row = [&](std::size_t s, std::size_t t) {
+            return rec(s)[0] < rec(t)[0];
+          };
+          std::vector<std::size_t> order(nrec);
+          std::iota(order.begin(), order.end(), std::size_t{0});
+          if (!std::is_sorted(order.begin(), order.end(), by_row))
+            std::sort(order.begin(), order.end(), by_row);
+          std::vector<Index> colptr(static_cast<std::size_t>(kk) + 1, 0);
+          for (std::size_t t = 0; t < nrec; ++t)
+            for (Index j = 0; j < kk; ++j)
+              if (rec(t)[1 + j] != 0.0) ++colptr[static_cast<std::size_t>(j) + 1];
+          for (Index j = 0; j < kk; ++j) colptr[j + 1] += colptr[j];
+          std::vector<Index> next(colptr.begin(), colptr.end() - 1);
+          std::vector<Index> rowind(static_cast<std::size_t>(colptr[kk]));
+          std::vector<double> values(rowind.size());
+          for (const std::size_t t : order)
             for (Index j = 0; j < kk; ++j) {
-              const double v = allx[pos + 1 + static_cast<std::size_t>(j)];
-              if (v != 0.0) xb.add(row, j, v);
+              const double v = rec(t)[1 + j];
+              if (v == 0.0) continue;
+              const Index q = next[j]++;
+              rowind[q] = static_cast<Index>(rec(t)[0]);
+              values[q] = v;
             }
-          }
-          x = xb.build();
+          x = CscMatrix(m_a - kk, kk, std::move(colptr), std::move(rowind),
+                        std::move(values));
         });
       }
 

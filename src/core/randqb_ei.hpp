@@ -35,7 +35,8 @@ struct RandQbResult {
   double orth_loss = 0.0;
 
   /// Per-iteration convergence telemetry (time_seconds is rank 0's
-  /// cumulative virtual time: process CPU seconds for randqb_ei()).
+  /// cumulative virtual time: for randqb_ei(), CPU seconds of the calling
+  /// thread plus the pool workers' slices).
   obs::TelemetrySeries telemetry;
 };
 

@@ -1,32 +1,8 @@
 #include "dense/bidiag.hpp"
 
-#include <cmath>
-
 #include "dense/blas.hpp"
 
 namespace lra {
-namespace {
-
-// Householder reflector as in qr.cpp; v stored in x(1:), x[0] = beta.
-double make_reflector(Index n, double* x, double& tau) {
-  if (n <= 1) {
-    tau = 0.0;
-    return n == 1 ? x[0] : 0.0;
-  }
-  const double alpha = x[0];
-  const double xnorm = nrm2(n - 1, x + 1);
-  if (xnorm == 0.0) {
-    tau = 0.0;
-    return alpha;
-  }
-  double beta = -std::copysign(std::hypot(alpha, xnorm), alpha);
-  tau = (beta - alpha) / beta;
-  const double inv = 1.0 / (alpha - beta);
-  for (Index i = 1; i < n; ++i) x[i] *= inv;
-  return beta;
-}
-
-}  // namespace
 
 Bidiagonal bidiagonalize(const Matrix& a_in) {
   Matrix a = a_in.rows() >= a_in.cols() ? a_in : a_in.transposed();
@@ -41,16 +17,8 @@ Bidiagonal bidiagonalize(const Matrix& a_in) {
     double tau = 0.0;
     double* ck = a.col(k) + k;
     const double beta = make_reflector(m - k, ck, tau);
-    if (tau != 0.0) {
-      for (Index j = k + 1; j < n; ++j) {
-        double* cj = a.col(j) + k;
-        double s = cj[0];
-        for (Index i = 1; i < m - k; ++i) s += ck[i] * cj[i];
-        s *= tau;
-        cj[0] -= s;
-        for (Index i = 1; i < m - k; ++i) cj[i] -= s * ck[i];
-      }
-    }
+    if (k + 1 < n)
+      apply_reflector(m - k, ck, tau, a.col(k + 1) + k, m, n - k - 1);
     bd.d[k] = beta;
 
     if (k >= n - 1) continue;

@@ -834,9 +834,16 @@ void axpy(Index n, double alpha, const double* x, double* y) noexcept {
 }
 
 double nrm2(Index n, const double* x) noexcept {
-  // Two-pass scaled norm to avoid overflow/underflow on extreme inputs.
-  double mx = 0.0;
-  for (Index i = 0; i < n; ++i) mx = std::max(mx, std::fabs(x[i]));
+  // Two-pass scaled norm to avoid overflow/underflow on extreme inputs. The
+  // max runs as four interleaved chains: a max is one of its inputs
+  // whatever the order (std::max skips NaNs in every chain alike), so this
+  // is the sequential max, without its compare-latency chain.
+  double m4[4] = {0.0, 0.0, 0.0, 0.0};
+  Index i4 = 0;
+  for (; i4 + 4 <= n; i4 += 4)
+    for (int b = 0; b < 4; ++b) m4[b] = std::max(m4[b], std::fabs(x[i4 + b]));
+  for (; i4 < n; ++i4) m4[0] = std::max(m4[0], std::fabs(x[i4]));
+  const double mx = std::max(std::max(m4[0], m4[1]), std::max(m4[2], m4[3]));
   if (mx == 0.0) return 0.0;
   double s = 0.0;
   const double inv = 1.0 / mx;
@@ -851,6 +858,76 @@ double dot(Index n, const double* x, const double* y) noexcept {
   double s = 0.0;
   for (Index i = 0; i < n; ++i) s += x[i] * y[i];
   return s;
+}
+
+double make_reflector(Index n, double* x, double& tau) {
+  if (n <= 1) {
+    tau = 0.0;
+    return n == 1 ? x[0] : 0.0;
+  }
+  const double alpha = x[0];
+  const double xnorm = nrm2(n - 1, x + 1);
+  if (xnorm == 0.0) {
+    tau = 0.0;
+    return alpha;
+  }
+  double beta = -std::copysign(std::hypot(alpha, xnorm), alpha);
+  tau = (beta - alpha) / beta;
+  const double inv = 1.0 / (alpha - beta);
+  for (Index i = 1; i < n; ++i) x[i] *= inv;
+  return beta;
+}
+
+namespace {
+
+// c[i] -= s * v[i] for i in [1, len), as c[i] + (-s) * v[i]: negation is
+// exact and x + (-y) == x - y in IEEE arithmetic, so the two-rounding madd
+// gives the scalar loop's bits lane by lane.
+void reflector_update(Index len, const double* LRA_RESTRICT v, double s,
+                      double* LRA_RESTRICT c) {
+  using simd::VecD;
+  const VecD ns = VecD::broadcast(-s);
+  Index i = 1;
+  for (; i + simd::kWidth <= len; i += simd::kWidth)
+    simd::madd(ns, VecD::load(v + i), VecD::load(c + i)).store(c + i);
+  for (; i < len; ++i) c[i] -= s * v[i];
+}
+
+}  // namespace
+
+void apply_reflector(Index len, const double* LRA_RESTRICT v, double tau,
+                     double* c, Index ld, Index ncols) {
+  if (tau == 0.0) return;
+  Index j = 0;
+  // Four columns per pass: four independent dot chains over one sweep of v.
+  for (; j + 4 <= ncols; j += 4) {
+    double* LRA_RESTRICT c0 = c + j * ld;
+    double* LRA_RESTRICT c1 = c0 + ld;
+    double* LRA_RESTRICT c2 = c1 + ld;
+    double* LRA_RESTRICT c3 = c2 + ld;
+    double s0 = c0[0], s1 = c1[0], s2 = c2[0], s3 = c3[0];
+    for (Index i = 1; i < len; ++i) {
+      const double vi = v[i];
+      s0 += vi * c0[i];
+      s1 += vi * c1[i];
+      s2 += vi * c2[i];
+      s3 += vi * c3[i];
+    }
+    const double s[4] = {s0 * tau, s1 * tau, s2 * tau, s3 * tau};
+    double* const cs[4] = {c0, c1, c2, c3};
+    for (int b = 0; b < 4; ++b) {
+      cs[b][0] -= s[b];
+      reflector_update(len, v, s[b], cs[b]);
+    }
+  }
+  for (; j < ncols; ++j) {
+    double* LRA_RESTRICT cj = c + j * ld;
+    double s = cj[0];
+    for (Index i = 1; i < len; ++i) s += v[i] * cj[i];
+    s *= tau;
+    cj[0] -= s;
+    reflector_update(len, v, s, cj);
+  }
 }
 
 }  // namespace lra

@@ -59,4 +59,23 @@ void axpy(Index n, double alpha, const double* x, double* y) noexcept;
 double nrm2(Index n, const double* x) noexcept;
 double dot(Index n, const double* x, const double* y) noexcept;
 
+/// Householder reflector for x (length n), LAPACK dlarfg style: overwrites
+/// x(1:) with v(1:) and returns beta such that
+/// (I - tau v v^T) x = (beta, 0, ..., 0)^T, where v(0) = 1 is implied.
+/// tau = 0 (the identity) when n <= 1 or x(1:) = 0.
+double make_reflector(Index n, double* x, double& tau);
+
+/// C := (I - tau v v^T) C for the len x ncols block C with column stride
+/// ld >= len (LAPACK dlarf); v(0) = 1 is implied and v[0] is never read. A
+/// no-op when tau == 0. Every Householder factorization in dense/ (QR, its
+/// Q accumulation and application, QRCP, bidiagonalization) goes through
+/// this one kernel. Bit contract: each column's result equals the scalar
+///   s = c[0]; for i = 1 .. len-1: s += v[i] * c[i];
+///   s *= tau; c[0] -= s; for i = 1 .. len-1: c[i] -= s * v[i];
+/// with no contraction, on every input and in every build. Columns are
+/// interleaved so their dot chains overlap (each still sums in ascending
+/// i), and the element-wise rank-1 update is vectorized over rows.
+void apply_reflector(Index len, const double* v, double tau, double* c,
+                     Index ld, Index ncols);
+
 }  // namespace lra

@@ -1,55 +1,23 @@
 #include "dense/qr.hpp"
 
+#include <algorithm>
 #include <cassert>
-#include <cmath>
 
 #include "dense/blas.hpp"
 #include "dense/tsqr.hpp"
 
 namespace lra {
-namespace {
-
-// Compute the Householder reflector for x (length n): returns beta such that
-// (I - tau v v^T) x = (beta, 0, ..., 0)^T, with v(0)=1 stored in x(1:).
-double make_reflector(Index n, double* x, double& tau) {
-  if (n <= 1) {
-    tau = 0.0;
-    return n == 1 ? x[0] : 0.0;
-  }
-  const double alpha = x[0];
-  const double xnorm = nrm2(n - 1, x + 1);
-  if (xnorm == 0.0) {
-    tau = 0.0;
-    return alpha;
-  }
-  double beta = -std::copysign(std::hypot(alpha, xnorm), alpha);
-  tau = (beta - alpha) / beta;
-  const double inv = 1.0 / (alpha - beta);
-  for (Index i = 1; i < n; ++i) x[i] *= inv;
-  return beta;
-}
-
-}  // namespace
 
 HouseholderQR::HouseholderQR(Matrix a) : qr_(std::move(a)) {
   const Index m = qr_.rows(), n = qr_.cols();
   const Index kmax = std::min(m, n);
   tau_.assign(static_cast<std::size_t>(kmax), 0.0);
-  std::vector<double> w(static_cast<std::size_t>(n));
   for (Index k = 0; k < kmax; ++k) {
     double* ck = qr_.col(k) + k;
     const double beta = make_reflector(m - k, ck, tau_[k]);
-    if (tau_[k] != 0.0) {
-      // Apply (I - tau v v^T) to the trailing columns.
-      for (Index j = k + 1; j < n; ++j) {
-        double* cj = qr_.col(j) + k;
-        double s = cj[0];
-        for (Index i = 1; i < m - k; ++i) s += ck[i] * cj[i];
-        s *= tau_[k];
-        cj[0] -= s;
-        for (Index i = 1; i < m - k; ++i) cj[i] -= s * ck[i];
-      }
-    }
+    // Apply (I - tau v v^T) to the trailing columns.
+    if (k + 1 < n)
+      apply_reflector(m - k, ck, tau_[k], qr_.col(k + 1) + k, m, n - k - 1);
     qr_(k, k) = beta;
   }
 }
@@ -60,18 +28,8 @@ Matrix HouseholderQR::thin_q() const {
   Matrix q(m, k);
   for (Index j = 0; j < k; ++j) q(j, j) = 1.0;
   // Accumulate reflectors back to front.
-  for (Index p = k - 1; p >= 0; --p) {
-    if (tau_[p] == 0.0) continue;
-    const double* v = qr_.col(p) + p;
-    for (Index j = p; j < k; ++j) {
-      double* cj = q.col(j) + p;
-      double s = cj[0];
-      for (Index i = 1; i < m - p; ++i) s += v[i] * cj[i];
-      s *= tau_[p];
-      cj[0] -= s;
-      for (Index i = 1; i < m - p; ++i) cj[i] -= s * v[i];
-    }
-  }
+  for (Index p = k - 1; p >= 0; --p)
+    apply_reflector(m - p, qr_.col(p) + p, tau_[p], q.col(p) + p, m, k - p);
   return q;
 }
 
@@ -86,37 +44,19 @@ Matrix HouseholderQR::r() const {
 void HouseholderQR::apply_qt(Matrix& b) const {
   const Index m = qr_.rows();
   assert(b.rows() == m);
+  if (b.cols() == 0) return;
   const Index k = static_cast<Index>(tau_.size());
-  for (Index p = 0; p < k; ++p) {
-    if (tau_[p] == 0.0) continue;
-    const double* v = qr_.col(p) + p;
-    for (Index j = 0; j < b.cols(); ++j) {
-      double* cj = b.col(j) + p;
-      double s = cj[0];
-      for (Index i = 1; i < m - p; ++i) s += v[i] * cj[i];
-      s *= tau_[p];
-      cj[0] -= s;
-      for (Index i = 1; i < m - p; ++i) cj[i] -= s * v[i];
-    }
-  }
+  for (Index p = 0; p < k; ++p)
+    apply_reflector(m - p, qr_.col(p) + p, tau_[p], b.col(0) + p, m, b.cols());
 }
 
 void HouseholderQR::apply_q(Matrix& b) const {
   const Index m = qr_.rows();
   assert(b.rows() == m);
+  if (b.cols() == 0) return;
   const Index k = static_cast<Index>(tau_.size());
-  for (Index p = k - 1; p >= 0; --p) {
-    if (tau_[p] == 0.0) continue;
-    const double* v = qr_.col(p) + p;
-    for (Index j = 0; j < b.cols(); ++j) {
-      double* cj = b.col(j) + p;
-      double s = cj[0];
-      for (Index i = 1; i < m - p; ++i) s += v[i] * cj[i];
-      s *= tau_[p];
-      cj[0] -= s;
-      for (Index i = 1; i < m - p; ++i) cj[i] -= s * v[i];
-    }
-  }
+  for (Index p = k - 1; p >= 0; --p)
+    apply_reflector(m - p, qr_.col(p) + p, tau_[p], b.col(0) + p, m, b.cols());
 }
 
 Matrix HouseholderQR::solve(const Matrix& b) const {

@@ -6,27 +6,6 @@
 #include "dense/blas.hpp"
 
 namespace lra {
-namespace {
-
-double make_reflector(Index n, double* x, double& tau) {
-  if (n <= 1) {
-    tau = 0.0;
-    return n == 1 ? x[0] : 0.0;
-  }
-  const double alpha = x[0];
-  const double xnorm = nrm2(n - 1, x + 1);
-  if (xnorm == 0.0) {
-    tau = 0.0;
-    return alpha;
-  }
-  double beta = -std::copysign(std::hypot(alpha, xnorm), alpha);
-  tau = (beta - alpha) / beta;
-  const double inv = 1.0 / (alpha - beta);
-  for (Index i = 1; i < n; ++i) x[i] *= inv;
-  return beta;
-}
-
-}  // namespace
 
 QRCP::QRCP(Matrix a, Index max_steps) : qr_(std::move(a)) {
   const Index m = qr_.rows(), n = qr_.cols();
@@ -58,16 +37,8 @@ QRCP::QRCP(Matrix a, Index max_steps) : qr_(std::move(a)) {
 
     double* ck = qr_.col(k) + k;
     const double beta = make_reflector(m - k, ck, tau_[k]);
-    if (tau_[k] != 0.0) {
-      for (Index j = k + 1; j < n; ++j) {
-        double* cj = qr_.col(j) + k;
-        double s = cj[0];
-        for (Index i = 1; i < m - k; ++i) s += ck[i] * cj[i];
-        s *= tau_[k];
-        cj[0] -= s;
-        for (Index i = 1; i < m - k; ++i) cj[i] -= s * ck[i];
-      }
-    }
+    if (k + 1 < n)
+      apply_reflector(m - k, ck, tau_[k], qr_.col(k + 1) + k, m, n - k - 1);
     qr_(k, k) = beta;
 
     // Downdate trailing norms.
@@ -98,18 +69,8 @@ Matrix QRCP::thin_q() const {
   const Index m = qr_.rows();
   Matrix q(m, steps_);
   for (Index j = 0; j < steps_; ++j) q(j, j) = 1.0;
-  for (Index p = steps_ - 1; p >= 0; --p) {
-    if (tau_[p] == 0.0) continue;
-    const double* v = qr_.col(p) + p;
-    for (Index j = p; j < steps_; ++j) {
-      double* cj = q.col(j) + p;
-      double s = cj[0];
-      for (Index i = 1; i < m - p; ++i) s += v[i] * cj[i];
-      s *= tau_[p];
-      cj[0] -= s;
-      for (Index i = 1; i < m - p; ++i) cj[i] -= s * v[i];
-    }
-  }
+  for (Index p = steps_ - 1; p >= 0; --p)
+    apply_reflector(m - p, qr_.col(p) + p, tau_[p], q.col(p) + p, m, steps_ - p);
   return q;
 }
 

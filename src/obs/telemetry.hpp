@@ -2,8 +2,9 @@
 // Unified per-iteration convergence telemetry emitted by every solver
 // (sequential and distributed): one sample per iteration carrying the
 // accumulated rank, the relative error indicator against the fixed-precision
-// target tau, the rank's virtual clock at the step (process CPU seconds for a
-// sequential solve, which runs as one rank), and — for the LU-family
+// target tau, the rank's virtual clock at the step (for a sequential solve,
+// which runs as one rank, the CPU seconds of the calling thread and of the
+// pool workers' slices), and — for the LU-family
 // methods — the Schur-complement fill diagnostics. This is the raw series
 // behind the paper's accuracy-vs-cost trajectories (Figs. 2-3, Table II),
 // surfaced uniformly through LowRankApprox and the JSONL run reports.

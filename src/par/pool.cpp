@@ -39,6 +39,7 @@ struct ThreadPool::Impl {
   std::uint64_t epoch = 0;
   int pending = 0;  // helper slices still running
   bool stopping = false;
+  double helper_cpu = 0.0;  // thread CPU seconds helpers spent in slices
 
   std::vector<std::thread> helpers;  // workers 1 .. nthreads-1
 
@@ -76,10 +77,13 @@ struct ThreadPool::Impl {
       if (worker < slices) {
         Index lo, hi;
         slice_bounds(b, e, slices, worker, &lo, &hi);
+        const double cpu0 = thread_cpu_seconds();
         tl_inside_slice = true;
         (*fn)(lo, hi, worker);
         tl_inside_slice = false;
+        const double cpu = thread_cpu_seconds() - cpu0;
         std::lock_guard<std::mutex> lock(mu);
+        helper_cpu += cpu;
         if (--pending == 0) cv_done.notify_all();
       }
     }
@@ -185,6 +189,11 @@ void ThreadPool::run_ranges(Index begin, Index end, const char* label,
     impl_->job = nullptr;
   }
   record(label, clock.seconds(), slices);
+}
+
+double ThreadPool::helper_cpu_seconds() const {
+  std::lock_guard<std::mutex> lock(impl_->mu);
+  return impl_->helper_cpu;
 }
 
 double ThreadPool::parallel_reduce_sum(

@@ -20,7 +20,8 @@
 //      pool entry points degrade to plain inline loops. Real threads
 //      accelerate the sequential solve (lra_cli approx without --np or with
 //      --np=1, the bench harnesses): a one-rank world runs on the calling
-//      thread without the guard and charges process CPU time instead.
+//      thread without the guard and charges its thread CPU time plus the
+//      workers' CPU time on its slices (helper_cpu_seconds) instead.
 //
 //   3. *No work stealing.* A stealing scheduler makes the partition depend
 //      on runtime timing; static slicing keeps the performance profile
@@ -108,6 +109,13 @@ class ThreadPool {
   /// are the baseline rows of the thread-scaling CSVs).
   std::map<std::string, PoolKernelStat> kernel_stats() const;
   void reset_stats();
+
+  /// Thread CPU seconds the helper workers (all but the calling worker 0)
+  /// have spent running slices, summed since the pool started; never
+  /// decreases. A caller's own CPU time plus the growth of this total over a
+  /// region is the CPU time of the work the region did, without the helpers'
+  /// wake-ups and waits.
+  double helper_cpu_seconds() const;
 
   /// RAII guard: while alive, every pool entry point on *this thread* runs
   /// inline on the caller. Used by SimWorld to keep simulated ranks

@@ -141,6 +141,12 @@ SimRequest RankCtx::isend_bytes(int dst, std::vector<std::byte> data,
   return req;
 }
 
+double RankCtx::cpu_now() const {
+  return pool_clock_
+             ? thread_cpu_seconds() + ThreadPool::global().helper_cpu_seconds()
+             : thread_cpu_seconds();
+}
+
 void RankCtx::send_bytes(int dst, std::vector<std::byte> data, int tag) {
   isend_bytes(dst, std::move(data), tag);
 }
@@ -629,8 +635,8 @@ void SimWorld::run(const std::function<void(RankCtx&)>& body) {
   };
   if (nranks_ == 1) {
     // The sequential solve: the body runs here, its kernels fork onto the
-    // pool, and the clock charges process CPU time so the workers count.
-    ctx[0].process_clock_ = true;
+    // pool, and the clock charges the workers' slice CPU time too.
+    ctx[0].pool_clock_ = true;
     run_rank(0);
   } else {
     std::vector<std::thread> threads;

@@ -190,7 +190,7 @@ class RankCtx {
   obs::prof::PhaseStack& phases() { return phases_; }
 
   /// Run `f`, charging its CPU time to the virtual clock (thread CPU time;
-  /// process CPU time in a one-rank world).
+  /// plus the pool workers' slice CPU time in a one-rank world).
   template <typename F>
   decltype(auto) compute(F&& f) {
     const double t0 = cpu_now();
@@ -401,11 +401,11 @@ class RankCtx {
     }
   }
 
-  /// The compute clock: this thread's CPU time, or the whole process's in
-  /// a one-rank world (where pool workers run the rank's kernels).
-  double cpu_now() const {
-    return process_clock_ ? process_cpu_seconds() : thread_cpu_seconds();
-  }
+  /// The compute clock: this thread's CPU time, plus, in a one-rank world
+  /// (where pool workers run the rank's kernels), the CPU time the workers
+  /// spent on its slices. Either way it counts the CPU time of the rank's
+  /// own work, so one-rank and many-rank makespans are charged alike.
+  double cpu_now() const;
 
   /// Straggler fault: inflate measured CPU time by the plan's factor. The
   /// factor is exactly 1.0 when no plan marks this rank, and x * 1.0 == x
@@ -437,7 +437,7 @@ class RankCtx {
   int rank_;
   double vclock_ = 0.0;
   double compute_factor_ = 1.0;  // straggler CPU-time inflation
-  bool process_clock_ = false;   // one-rank world: charge process CPU time
+  bool pool_clock_ = false;  // one-rank world: charge its pool workers too
   std::map<std::string, double> kernel_time_;
   // Per-destination send and per-rank collective sequence numbers: the keys
   // of the deterministic fault-decision streams (only advanced when a fault

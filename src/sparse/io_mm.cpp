@@ -5,6 +5,7 @@
 #include <fstream>
 #include <sstream>
 #include <stdexcept>
+#include <string>
 
 #include "sparse/coo.hpp"
 
@@ -39,15 +40,31 @@ CscMatrix read_matrix_market(const std::string& path) {
   hdr >> m >> n >> nz;
   if (!hdr || m <= 0 || n <= 0 || nz < 0)
     throw std::runtime_error(path + ": bad size line");
+  if ((symmetric || skew) && m != n)
+    throw std::runtime_error(path + ": symmetric matrix must be square");
 
+  // The header's nz is outside input: it is bounded by the matrix capacity
+  // (checked without forming m * n), and storage grows as entries are
+  // actually read, so a lying header cannot trigger a huge allocation.
+  if (nz / n > m || (nz / n == m && nz % n != 0))
+    throw std::runtime_error(path + ": nz " + std::to_string(nz) +
+                             " exceeds the " + std::to_string(m) + "x" +
+                             std::to_string(n) + " matrix capacity");
+  constexpr long long kMaxReserve = 1 << 20;
   CooBuilder coo(m, n);
-  coo.reserve(static_cast<std::size_t>(symmetric || skew ? 2 * nz : nz));
+  coo.reserve(static_cast<std::size_t>(std::min(nz, kMaxReserve)));
   for (long long t = 0; t < nz; ++t) {
     Index i = 0, j = 0;
     double v = 1.0;
     if (!(is >> i >> j)) throw std::runtime_error(path + ": truncated data");
     if (!pattern && !(is >> v))
       throw std::runtime_error(path + ": truncated value");
+    if (i < 1 || i > m || j < 1 || j > n)
+      throw std::runtime_error(path + ": entry " + std::to_string(t + 1) +
+                               " index (" + std::to_string(i) + ", " +
+                               std::to_string(j) + ") is outside the " +
+                               std::to_string(m) + "x" + std::to_string(n) +
+                               " matrix");
     --i;
     --j;  // 1-based -> 0-based
     coo.add(i, j, v);

@@ -18,8 +18,4 @@ double thread_cpu_seconds() noexcept {
   return clock_seconds(CLOCK_THREAD_CPUTIME_ID);
 }
 
-double process_cpu_seconds() noexcept {
-  return clock_seconds(CLOCK_PROCESS_CPUTIME_ID);
-}
-
 }  // namespace lra

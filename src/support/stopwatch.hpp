@@ -3,8 +3,9 @@
 //
 // The virtual-time runtime (par/) charges compute sections with *thread CPU
 // time* so that timesharing many simulated ranks onto few physical cores does
-// not distort per-rank costs; a one-rank world charges *process CPU time*, so
-// the thread-pool workers serving its kernels are counted too.
+// not distort per-rank costs; a one-rank world adds the CPU time the
+// thread-pool workers spent on its kernels' slices (ThreadPool::
+// helper_cpu_seconds), so its work is charged on the same clock.
 
 #include <chrono>
 
@@ -28,8 +29,5 @@ class Stopwatch {
 
 /// CPU time consumed by the calling thread, in seconds.
 double thread_cpu_seconds() noexcept;
-
-/// CPU time consumed by all threads of the process, in seconds.
-double process_cpu_seconds() noexcept;
 
 }  // namespace lra

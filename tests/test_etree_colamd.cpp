@@ -1,6 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <queue>
+#include <vector>
+
 #include "gen/families.hpp"
+#include "gen/presets.hpp"
 #include "sparse/colamd.hpp"
 #include "sparse/etree.hpp"
 #include "sparse/spgemm.hpp"
@@ -75,6 +79,101 @@ TEST(Colamd, ReducesCholeskyFillOnArrowMatrix) {
 TEST(Colamd, OrderingIsDeterministic) {
   const CscMatrix a = circuit_like(50, 4, 1, 13);
   EXPECT_EQ(colamd_order(a), colamd_order(a));
+}
+
+// Reference: the lazy priority-queue COLAMD that colamd_order() replaced.
+// Every pivot-row update pushes a fresh (score, col, stamp) entry, stale
+// entries are skipped on pop, and scores are recomputed from scratch.
+Perm lazy_heap_colamd_order(const CscMatrix& a) {
+  struct HeapEntry {
+    Index score;
+    Index col;
+    Index stamp;
+    bool operator>(const HeapEntry& o) const {
+      if (score != o.score) return score > o.score;
+      return col > o.col;
+    }
+  };
+  const Index n = a.cols();
+  std::vector<std::vector<Index>> row2col(static_cast<std::size_t>(a.rows()));
+  std::vector<std::vector<Index>> col2row(static_cast<std::size_t>(n));
+  for (Index j = 0; j < n; ++j)
+    for (Index r : a.col_rows(j)) {
+      row2col[r].push_back(j);
+      col2row[j].push_back(r);
+    }
+  std::vector<char> row_alive(row2col.size(), 1);
+  std::vector<char> col_done(static_cast<std::size_t>(n), 0);
+  std::vector<Index> stamp(static_cast<std::size_t>(n), 0);
+  auto score_of = [&](Index j) {
+    Index s = 0;
+    auto& rows = col2row[j];
+    std::size_t w = 0;
+    for (Index r : rows) {
+      if (!row_alive[r]) continue;
+      rows[w++] = r;
+      s += static_cast<Index>(row2col[r].size()) - 1;
+    }
+    rows.resize(w);
+    return s;
+  };
+  std::priority_queue<HeapEntry, std::vector<HeapEntry>, std::greater<>> heap;
+  for (Index j = 0; j < n; ++j) heap.push({score_of(j), j, 0});
+  Perm order;
+  std::vector<char> in_pivot(static_cast<std::size_t>(n), 0);
+  while (!heap.empty()) {
+    const HeapEntry top = heap.top();
+    heap.pop();
+    const Index j = top.col;
+    if (col_done[j] || top.stamp != stamp[j]) continue;
+    col_done[j] = 1;
+    order.push_back(j);
+    std::vector<Index> pivot_cols;
+    for (Index r : col2row[j]) {
+      if (!row_alive[r]) continue;
+      row_alive[r] = 0;
+      for (Index c : row2col[r]) {
+        if (col_done[c] || in_pivot[c]) continue;
+        in_pivot[c] = 1;
+        pivot_cols.push_back(c);
+      }
+      row2col[r].clear();
+    }
+    col2row[j].clear();
+    if (pivot_cols.empty()) continue;
+    const Index pr = static_cast<Index>(row2col.size());
+    row2col.push_back(pivot_cols);
+    row_alive.push_back(1);
+    for (Index c : pivot_cols) {
+      in_pivot[c] = 0;
+      col2row[c].push_back(pr);
+      ++stamp[c];
+      heap.push({score_of(c), c, stamp[c]});
+    }
+  }
+  return order;
+}
+
+TEST(Colamd, OrderMatchesLazyHeapReference) {
+  std::vector<std::pair<std::string, CscMatrix>> cases;
+  for (const std::string& label : preset_labels())
+    cases.emplace_back(label, make_preset(label, 0.1).a);
+  cases.emplace_back("circuit_like", circuit_like(300, 5, 3, 17));
+  cases.emplace_back("all_zero", CscMatrix(7, 5));
+  const Index n = 40;
+  Matrix arrow(n, n);
+  for (Index i = 0; i < n; ++i) {
+    arrow(i, i) = 2.0;
+    arrow(i, 0) = 1.0;
+    arrow(0, i) = 1.0;
+  }
+  cases.emplace_back("arrow", CscMatrix::from_dense(arrow));
+  for (const auto& [name, a] : cases) {
+    SCOPED_TRACE(name);
+    const Perm ref = lazy_heap_colamd_order(a);
+    ASSERT_EQ(static_cast<Index>(ref.size()), a.cols());
+    EXPECT_EQ(colamd_order(a), ref);
+  }
 }
 
 }  // namespace

@@ -5,11 +5,14 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cmath>
 #include <cstdlib>
+#include <thread>
 #include <vector>
 
 #include "par/pool.hpp"
+#include "support/stopwatch.hpp"
 
 namespace lra {
 namespace {
@@ -159,6 +162,40 @@ TEST(PoolTest, KernelStatsCountForkedRegions) {
   ThreadPool::global().parallel_for(
       0, 4, "tiny_kernel", [](Index) {}, /*grain=*/1000000);
   EXPECT_EQ(ThreadPool::global().kernel_stats().count("tiny_kernel"), 0u);
+}
+
+// A one-rank SimWorld charges its clock with the caller's thread CPU time
+// plus helper_cpu_seconds(), so that total must grow by the helpers' slice
+// work and by nothing else: not while they sleep, not for inline runs.
+TEST(PoolTest, HelperCpuCountsOnlySliceWork) {
+  PoolGuard guard;
+  ThreadPool::global().set_num_threads(2);
+  auto spin = [](double cpu_seconds) {
+    const double t0 = thread_cpu_seconds();
+    while (thread_cpu_seconds() - t0 < cpu_seconds) {
+    }
+  };
+  const double h0 = ThreadPool::global().helper_cpu_seconds();
+  ThreadPool::global().parallel_ranges(
+      0, 2, "cpu_kernel", /*grain=*/1,
+      [&](Index, Index, int) { spin(0.02); });
+  const double h1 = ThreadPool::global().helper_cpu_seconds();
+  EXPECT_GE(h1 - h0, 0.02);  // worker 1's slice; worker 0 is the caller
+
+  std::this_thread::sleep_for(std::chrono::milliseconds(30));
+  EXPECT_EQ(ThreadPool::global().helper_cpu_seconds(), h1);
+
+  {
+    ThreadPool::ScopedSerial serial;
+    ThreadPool::global().parallel_ranges(
+        0, 2, "cpu_kernel", /*grain=*/1,
+        [&](Index, Index, int) { spin(0.005); });
+  }
+  ThreadPool::global().set_num_threads(1);
+  ThreadPool::global().parallel_ranges(
+      0, 2, "cpu_kernel", /*grain=*/1,
+      [&](Index, Index, int) { spin(0.005); });
+  EXPECT_EQ(ThreadPool::global().helper_cpu_seconds(), h1);
 }
 
 TEST(PoolTest, ResolveThreadCountFallsBackToOne) {

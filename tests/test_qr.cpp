@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
+
 #include "dense/blas.hpp"
 #include "test_util.hpp"
 
@@ -87,6 +89,51 @@ TEST(Orth, ZeroMatrixProducesOrthonormalCompletion) {
   const Matrix q = orth(Matrix(6, 2));
   EXPECT_EQ(q.cols(), 2);
   EXPECT_LT(testing::orthogonality_defect(q), 1e-14);
+}
+
+// The scalar reflector loop every dense factorization used before the
+// column-interleaved kernel: the bit-level reference for apply_reflector().
+void scalar_apply_reflector(Index len, const double* v, double tau, double* c,
+                            Index ld, Index ncols) {
+  if (tau == 0.0) return;
+  for (Index j = 0; j < ncols; ++j) {
+    double* cj = c + j * ld;
+    double s = cj[0];
+    for (Index i = 1; i < len; ++i) s += v[i] * cj[i];
+    s *= tau;
+    cj[0] -= s;
+    for (Index i = 1; i < len; ++i) cj[i] -= s * v[i];
+  }
+}
+
+TEST(Householder, ApplyMatchesScalarLoop) {
+  std::uint64_t seed = 40;
+  for (Index len : {1, 2, 3, 7, 64, 133}) {
+    for (Index pad : {0, 3}) {  // ld = len + pad; padding rows stay untouched
+      const Index ld = len + pad;
+      for (Index ncols = 0; ncols <= 9; ++ncols) {  // ncols mod 4 = 0..3
+        Matrix x = testing::random_matrix(len, 1, ++seed);
+        double tau = 0.0;
+        make_reflector(len, x.data(), tau);
+        for (double t : {tau, 0.0, 1.25}) {
+          SCOPED_TRACE(::testing::Message() << "len=" << len << " ld=" << ld
+                                            << " ncols=" << ncols
+                                            << " tau=" << t);
+          const Matrix c0 = testing::random_matrix(ld, ncols, ++seed);
+          Matrix ref = c0, got = c0;
+          scalar_apply_reflector(len, x.data(), t, ref.data(), ld, ncols);
+          apply_reflector(len, x.data(), t, got.data(), ld, ncols);
+          if (c0.size() > 0) {
+            EXPECT_EQ(0, std::memcmp(ref.data(), got.data(),
+                                     sizeof(double) * c0.size()));
+          }
+          if (t == 0.0) {
+            EXPECT_EQ(got, c0);
+          }
+        }
+      }
+    }
+  }
 }
 
 }  // namespace

@@ -5,7 +5,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <fstream>
 #include <stdexcept>
+#include <string>
 
 #include "core/ilut_crtp.hpp"
 #include "core/lu_crtp.hpp"
@@ -18,6 +21,7 @@
 #include "gen/givens_spray.hpp"
 #include "gen/spectrum.hpp"
 #include "sparse/coo.hpp"
+#include "sparse/io_mm.hpp"
 #include "test_util.hpp"
 
 namespace lra {
@@ -183,6 +187,76 @@ TEST(Robustness, ColamdEveryNeedsOneRank) {
   EXPECT_EQ(r.status, Status::kConverged);
   EXPECT_LT(lu_crtp_exact_error(a, r), o.tau * r.anorm_f);
   EXPECT_THROW(lu_crtp_dist(a, o, 2), std::invalid_argument);
+}
+
+// Writes `text` to a temporary Matrix Market file and returns its path.
+std::string write_temp_mtx(const std::string& name, const std::string& text) {
+  const std::string path = ::testing::TempDir() + "/" + name;
+  std::ofstream(path) << text;
+  return path;
+}
+
+// An entry outside the header's shape went through CooBuilder::add, whose
+// bounds check is an assert, and corrupted the heap in Release builds
+// (lra_cli approx segfaulted). The reader now rejects it in every build.
+TEST(Robustness, MatrixMarketIndexOutOfRange) {
+  const std::string banner = "%%MatrixMarket matrix coordinate real general\n";
+  for (const std::string entry : {"9 2 2.0", "2 4 2.0", "0 1 2.0", "1 -2 2.0"}) {
+    SCOPED_TRACE(entry);
+    const std::string path = write_temp_mtx(
+        "lra_oob.mtx", banner + "3 3 2\n1 1 1.0\n" + entry + "\n");
+    EXPECT_THROW(read_matrix_market(path), std::runtime_error);
+    std::remove(path.c_str());
+  }
+  // A symmetric file mirrors (i, j) to (j, i): it must be square.
+  const std::string path = write_temp_mtx(
+      "lra_oob.mtx",
+      "%%MatrixMarket matrix coordinate real symmetric\n2 4 1\n1 4 1.0\n");
+  EXPECT_THROW(read_matrix_market(path), std::runtime_error);
+  std::remove(path.c_str());
+}
+
+// A header nz of 999999999999 went straight into reserve() and died with
+// std::bad_alloc. nz above m * n is now rejected without forming m * n, and
+// storage grows with the entries actually read, so a header that merely
+// overstates nz fails as truncated data instead of allocating for it.
+TEST(Robustness, MatrixMarketNzAboveCapacity) {
+  const std::string banner = "%%MatrixMarket matrix coordinate real general\n";
+  for (const std::string size : {"3 3 999999999999", "2 2 5"}) {
+    SCOPED_TRACE(size);
+    const std::string path =
+        write_temp_mtx("lra_nz.mtx", banner + size + "\n1 1 1.0\n");
+    try {
+      read_matrix_market(path);
+      ADD_FAILURE() << "accepted nz above capacity";
+    } catch (const std::runtime_error& e) {
+      EXPECT_NE(std::string(e.what()).find("capacity"), std::string::npos)
+          << e.what();
+    }
+    std::remove(path.c_str());
+  }
+  // Within capacity the header is legal, even where m * n overflows 64
+  // bits; the entries it promises but lacks are truncation.
+  for (const std::string size :
+       {"100000 100000 9999999999", "4611686018427387904 4 9223372036854775807"}) {
+    SCOPED_TRACE(size);
+    const std::string path =
+        write_temp_mtx("lra_nz.mtx", banner + size + "\n1 1 1.0\n");
+    try {
+      read_matrix_market(path);
+      ADD_FAILURE() << "accepted a truncated file";
+    } catch (const std::runtime_error& e) {
+      EXPECT_NE(std::string(e.what()).find("truncated"), std::string::npos)
+          << e.what();
+    }
+    std::remove(path.c_str());
+  }
+  const std::string full =
+      write_temp_mtx("lra_nz.mtx", banner + "2 1 2\n1 1 1.0\n2 1 3.0\n");
+  const CscMatrix a = read_matrix_market(full);
+  EXPECT_EQ(a.nnz(), 2);
+  EXPECT_EQ(a.coeff(1, 0), 3.0);
+  std::remove(full.c_str());
 }
 
 }  // namespace

@@ -227,5 +227,29 @@ if(found EQUAL -1)
   message(FATAL_ERROR "--threads=0 did not report 1 worker; got:\n${out}")
 endif()
 
+# Malformed Matrix Market input is an error with a message and a nonzero
+# exit, never a crash: an entry outside the declared shape (this segfaulted
+# in Release builds) and a header nz above m * n (this died in reserve()).
+set(bad_mtx ${WORK_DIR}/cli_test_bad.mtx)
+foreach(case "3 3 2\n1 1 1.0\n9 2 2.0\n|is outside the 3x3 matrix"
+             "3 3 999999999999\n1 1 1.0\n|exceeds the 3x3 matrix capacity")
+  string(REPLACE "|" ";" parts "${case}")
+  list(GET parts 0 body)
+  list(GET parts 1 expect)
+  file(WRITE ${bad_mtx}
+       "%%MatrixMarket matrix coordinate real general\n${body}")
+  execute_process(
+    COMMAND ${LRA_CLI} approx --mtx=${bad_mtx} --tau=1e-2
+    RESULT_VARIABLE rc OUTPUT_VARIABLE out ERROR_VARIABLE err TIMEOUT 60)
+  if(NOT rc MATCHES "^[1-9][0-9]*$")
+    message(FATAL_ERROR "bad .mtx (${expect}) did not fail cleanly (${rc}):\n${err}")
+  endif()
+  string(FIND "${err}" "${expect}" found)
+  if(found EQUAL -1)
+    message(FATAL_ERROR "bad .mtx did not explain itself (${expect}):\n${err}")
+  endif()
+endforeach()
+file(REMOVE ${bad_mtx})
+
 file(REMOVE ${mtx} ${fact} ${trace} ${report} ${repro} ${abort_trace}
      ${prof_report})
