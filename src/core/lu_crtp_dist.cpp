@@ -417,11 +417,8 @@ DistLuResult lu_crtp_dist(const CscMatrix& a, const LuCrtpOptions& opts,
       CscMatrix schur_loc;
       {
         PhaseScope schur_phase(ctx, "schur");
-        schur_loc = ctx.compute("schur", [&] {
-          CscMatrix sc = schur_update(a22_loc, x, u12_loc);
-          sc.prune(0.0);
-          return sc;
-        });
+        schur_loc = ctx.compute(
+            "schur", [&] { return schur_update(a22_loc, x, u12_loc); });
       }
 
       // Post the error-indicator reduction (9) now and record this round's

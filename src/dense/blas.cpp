@@ -829,8 +829,16 @@ void gemv(double* y, const Matrix& a, const double* x, double alpha,
   }
 }
 
-void axpy(Index n, double alpha, const double* x, double* y) noexcept {
-  for (Index i = 0; i < n; ++i) y[i] += alpha * x[i];
+void axpy(Index n, double alpha, const double* LRA_RESTRICT x,
+          double* LRA_RESTRICT y) noexcept {
+  // y[i] + alpha * x[i] with two roundings in every lane: madd is the
+  // scalar loop's bits, vectorized.
+  using simd::VecD;
+  const VecD a = VecD::broadcast(alpha);
+  Index i = 0;
+  for (; i + simd::kWidth <= n; i += simd::kWidth)
+    simd::madd(a, VecD::load(x + i), VecD::load(y + i)).store(y + i);
+  for (; i < n; ++i) y[i] += alpha * x[i];
 }
 
 double nrm2(Index n, const double* x) noexcept {
@@ -881,16 +889,10 @@ double make_reflector(Index n, double* x, double& tau) {
 namespace {
 
 // c[i] -= s * v[i] for i in [1, len), as c[i] + (-s) * v[i]: negation is
-// exact and x + (-y) == x - y in IEEE arithmetic, so the two-rounding madd
-// gives the scalar loop's bits lane by lane.
-void reflector_update(Index len, const double* LRA_RESTRICT v, double s,
-                      double* LRA_RESTRICT c) {
-  using simd::VecD;
-  const VecD ns = VecD::broadcast(-s);
-  Index i = 1;
-  for (; i + simd::kWidth <= len; i += simd::kWidth)
-    simd::madd(ns, VecD::load(v + i), VecD::load(c + i)).store(c + i);
-  for (; i < len; ++i) c[i] -= s * v[i];
+// exact and x + (-y) == x - y in IEEE arithmetic, so axpy gives the scalar
+// loop's bits.
+void reflector_update(Index len, const double* v, double s, double* c) {
+  if (len > 1) axpy(len - 1, -s, v + 1, c + 1);
 }
 
 }  // namespace

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cctype>
+#include <cmath>
+#include <cstdlib>
 #include <fstream>
 #include <sstream>
 #include <stdexcept>
@@ -10,6 +12,23 @@
 #include "sparse/coo.hpp"
 
 namespace lra {
+namespace {
+
+// One value token, parsed like operator>> (strtod, correctly rounded) but
+// with the whole token required and non-finite results rejected: "nan",
+// "inf" and overflowing literals such as 1e999 are errors, not entries.
+double parse_value(const std::string& path, long long entry,
+                   const std::string& tok) {
+  char* end = nullptr;
+  const double v = std::strtod(tok.c_str(), &end);
+  const bool whole = end != tok.c_str() && *end == '\0';
+  if (whole && std::isfinite(v)) return v;
+  throw std::runtime_error(path + ": entry " + std::to_string(entry) + ": " +
+                           (whole ? "non-finite" : "malformed") + " value '" +
+                           tok + "'");
+}
+
+}  // namespace
 
 CscMatrix read_matrix_market(const std::string& path) {
   std::ifstream is(path);
@@ -53,12 +72,15 @@ CscMatrix read_matrix_market(const std::string& path) {
   constexpr long long kMaxReserve = 1 << 20;
   CooBuilder coo(m, n);
   coo.reserve(static_cast<std::size_t>(std::min(nz, kMaxReserve)));
+  std::string tok;
   for (long long t = 0; t < nz; ++t) {
     Index i = 0, j = 0;
     double v = 1.0;
     if (!(is >> i >> j)) throw std::runtime_error(path + ": truncated data");
-    if (!pattern && !(is >> v))
-      throw std::runtime_error(path + ": truncated value");
+    if (!pattern) {
+      if (!(is >> tok)) throw std::runtime_error(path + ": truncated value");
+      v = parse_value(path, t + 1, tok);
+    }
     if (i < 1 || i > m || j < 1 || j > n)
       throw std::runtime_error(path + ": entry " + std::to_string(t + 1) +
                                " index (" + std::to_string(i) + ", " +
@@ -70,6 +92,12 @@ CscMatrix read_matrix_market(const std::string& path) {
     coo.add(i, j, v);
     if ((symmetric || skew) && i != j) coo.add(j, i, skew ? -v : v);
   }
+  // Checked after the entries, so a truncated file reports its truncation,
+  // but before build() allocates the n + 1 column pointers.
+  if (m > kMaxMatrixMarketDim || n > kMaxMatrixMarketDim)
+    throw std::runtime_error(path + ": dimensions " + std::to_string(m) + "x" +
+                             std::to_string(n) + " exceed the maximum " +
+                             std::to_string(kMaxMatrixMarketDim));
   return coo.build();
 }
 

@@ -2,8 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <tuple>
+#include <vector>
 
+#include "support/rng.hpp"
 #include "test_util.hpp"
 
 namespace lra {
@@ -109,6 +112,31 @@ TEST(AxpyDot, Basics) {
   axpy(3, 2.0, x.data(), y.data());
   EXPECT_EQ(y[2], 7.0);
   EXPECT_DOUBLE_EQ(dot(3, x.data(), x.data()), 14.0);
+}
+
+// axpy is vectorized; its bits must be the scalar loop's, two roundings per
+// element, at every length (full vectors plus every tail), for alpha = +-0,
+// and at unaligned offsets. The element past the end must stay untouched.
+TEST(Blas, AxpyMatchesScalarLoop) {
+  CounterRng rng(77);
+  for (const Index n : {0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 33})
+    for (const double alpha : {0.0, -0.0, 0.7390851332151607, -3.25e7})
+      for (const Index off : {0, 1}) {
+        SCOPED_TRACE(::testing::Message() << "n=" << n << " alpha=" << alpha
+                                          << " off=" << off);
+        std::vector<double> x(static_cast<std::size_t>(n + off)),
+            y(static_cast<std::size_t>(n + off + 1));
+        for (double& v : x) v = rng.gaussian();
+        for (double& v : y) v = rng.gaussian() * 1e-3;
+        if (n > 2) {
+          y[off + 1] = -alpha * x[off + 1];  // cancels (to a signed zero)
+          y[off + 2] = -0.0;
+        }
+        std::vector<double> ref = y;
+        for (Index i = 0; i < n; ++i) ref[off + i] += alpha * x[off + i];
+        axpy(n, alpha, x.data() + off, y.data() + off);
+        EXPECT_EQ(0, std::memcmp(y.data(), ref.data(), y.size() * sizeof(double)));
+      }
 }
 
 }  // namespace

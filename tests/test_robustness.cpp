@@ -259,5 +259,81 @@ TEST(Robustness, MatrixMarketNzAboveCapacity) {
   std::remove(full.c_str());
 }
 
+// "nan" and "inf" value tokens were reported as "truncated value". Every
+// value must be a complete finite number: non-finite tokens and literals
+// that overflow to infinity name the entry; garbage is malformed.
+TEST(Robustness, MatrixMarketNonFiniteValue) {
+  const std::string banner = "%%MatrixMarket matrix coordinate real general\n";
+  for (const std::string tok : {"nan", "NaN", "inf", "-inf", "Infinity", "1e999",
+                                "-1e400"}) {
+    SCOPED_TRACE(tok);
+    const std::string path = write_temp_mtx(
+        "lra_nonfinite.mtx", banner + "2 2 2\n1 1 1.0\n2 2 " + tok + "\n");
+    try {
+      read_matrix_market(path);
+      ADD_FAILURE() << "accepted a non-finite value";
+    } catch (const std::runtime_error& e) {
+      EXPECT_NE(std::string(e.what()).find("entry 2: non-finite value"),
+                std::string::npos)
+          << e.what();
+    }
+    std::remove(path.c_str());
+  }
+  for (const std::string tok : {"1.0x", "abc", "--1"}) {
+    SCOPED_TRACE(tok);
+    const std::string path = write_temp_mtx(
+        "lra_nonfinite.mtx", banner + "2 2 1\n1 1 " + tok + "\n");
+    try {
+      read_matrix_market(path);
+      ADD_FAILURE() << "accepted a malformed value";
+    } catch (const std::runtime_error& e) {
+      EXPECT_NE(std::string(e.what()).find("entry 1: malformed value"),
+                std::string::npos)
+          << e.what();
+    }
+    std::remove(path.c_str());
+  }
+  // Finite values parse as before, subnormals and signs included.
+  const std::string ok = write_temp_mtx(
+      "lra_nonfinite.mtx", banner + "2 2 3\n1 1 -2.5e-3\n2 1 +4\n2 2 4.9e-324\n");
+  const CscMatrix a = read_matrix_market(ok);
+  EXPECT_EQ(a.coeff(0, 0), -2.5e-3);
+  EXPECT_EQ(a.coeff(1, 0), 4.0);
+  EXPECT_EQ(a.coeff(1, 1), 4.9e-324);
+  std::remove(ok.c_str());
+}
+
+// A header of "1 999999999999 0" passed every check and CscMatrix then
+// asked for ~8 TB of column pointers (std::bad_alloc). Dimensions above
+// kMaxMatrixMarketDim are rejected before anything sized by them exists.
+TEST(Robustness, MatrixMarketHugeDimensions) {
+  const std::string banner = "%%MatrixMarket matrix coordinate real general\n";
+  const std::string big = std::to_string(kMaxMatrixMarketDim + 1);
+  for (const std::string& size :
+       {std::string("1 999999999999 0"), std::string("999999999999 1 0"),
+        big + " 2 1\n1 1 1.0", "2 " + big + " 1\n1 1 1.0"}) {
+    SCOPED_TRACE(size);
+    const std::string path =
+        write_temp_mtx("lra_huge.mtx", banner + size + "\n");
+    try {
+      read_matrix_market(path);
+      ADD_FAILURE() << "accepted dimensions above the bound";
+    } catch (const std::runtime_error& e) {
+      EXPECT_NE(std::string(e.what()).find("exceed the maximum"),
+                std::string::npos)
+          << e.what();
+    }
+    std::remove(path.c_str());
+  }
+  // The bound itself is legal (as rows: nothing here is sized by m).
+  const std::string edge = std::to_string(kMaxMatrixMarketDim);
+  const std::string path = write_temp_mtx(
+      "lra_huge.mtx", banner + edge + " 3 1\n" + edge + " 2 5.0\n");
+  const CscMatrix a = read_matrix_market(path);
+  EXPECT_EQ(a.rows(), kMaxMatrixMarketDim);
+  EXPECT_EQ(a.coeff(kMaxMatrixMarketDim - 1, 1), 5.0);
+  std::remove(path.c_str());
+}
+
 }  // namespace
 }  // namespace lra

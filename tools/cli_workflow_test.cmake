@@ -229,10 +229,14 @@ endif()
 
 # Malformed Matrix Market input is an error with a message and a nonzero
 # exit, never a crash: an entry outside the declared shape (this segfaulted
-# in Release builds) and a header nz above m * n (this died in reserve()).
+# in Release builds), a header nz above m * n (this died in reserve()), a
+# non-finite value (this was "truncated value") and a header dimension above
+# the reader's bound (this died with std::bad_alloc).
 set(bad_mtx ${WORK_DIR}/cli_test_bad.mtx)
 foreach(case "3 3 2\n1 1 1.0\n9 2 2.0\n|is outside the 3x3 matrix"
-             "3 3 999999999999\n1 1 1.0\n|exceeds the 3x3 matrix capacity")
+             "3 3 999999999999\n1 1 1.0\n|exceeds the 3x3 matrix capacity"
+             "2 2 2\n1 1 1.0\n2 2 inf\n|entry 2: non-finite value"
+             "1 999999999999 0\n|exceed the maximum 67108864")
   string(REPLACE "|" ";" parts "${case}")
   list(GET parts 0 body)
   list(GET parts 1 expect)
