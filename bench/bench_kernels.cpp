@@ -1,11 +1,11 @@
 // bench_kernels — self-timed microbenchmarks of the compute kernels across
-// the four variants (support/kernel_variant.hpp), with correctness gates.
+// the three variants (support/kernel_variant.hpp), with correctness gates.
 //
 // For each kernel (gemm_nn, gemm_tn, gemm_nt, spmm, spmm_t, dense_times_csc)
-// and each reference shape the harness runs naive, blocked, simd-strict and
-// simd, takes the median of --reps timed repetitions each, and gates:
+// and each reference shape the harness runs naive, simd and simd-strict,
+// takes the median of --reps timed repetitions each, and gates:
 //
-//   * blocked and simd-strict must be bitwise identical to naive (memcmp) —
+//   * simd-strict must be bitwise identical to naive (memcmp) —
 //     the inputs are Gaussian, so the naive zero-skip divergence never fires;
 //   * simd must satisfy the documented ULP bound: per element,
 //     |simd - naive| <= 4 * k_eff * eps * absref, where absref is the same
@@ -29,8 +29,8 @@
 // Bytes-moved model (per variant): dense GEMM counts one read of each input
 // and a read+write of C. spmm/spmm_t count one pass over A's value+index
 // arrays per group of output columns (naive: one column per pass;
-// blocked/simd: kSpmmNb columns) plus one read of B and a read+write of C.
-// dense_times_csc charges the dense operand honestly: naive/blocked stream a
+// simd: kSpmmNb columns) plus one read of B and a read+write of C.
+// dense_times_csc charges the dense operand honestly: naive streams a
 // column of B per A nonzero (8*m*nnz — the model that PR 4 understated as a
 // single read of B), while the simd row-panel variant packs B once (8*m*k)
 // and re-reads A per panel (apass * ceil(m/ib)); the per-nonzero panel reads
@@ -142,24 +142,27 @@ bool ulp_within_bound(const Matrix& ref, const Matrix& absref,
   return true;
 }
 
-// One kernel, four variants. `run` must overwrite `out` completely; `run_abs`
-// is the same kernel on abs-valued inputs (the ULP gate's reference
-// magnitude). bytes[] indexes {naive, blocked, simd, simd-strict}.
+// One kernel, three variants. `run` must overwrite `out` completely;
+// `run_abs` is the same kernel on abs-valued inputs (the ULP gate's reference
+// magnitude). bytes[] indexes {naive, simd, simd-strict}.
+constexpr int kVariants = 3;
+
 template <typename Fn, typename FnAbs>
 bool bench_case(std::vector<Row>& rows, const std::string& kernel,
-                const std::string& shape, double flops, const double bytes[4],
-                double keff, int reps, Matrix& out, Fn&& run, FnAbs&& run_abs) {
-  const KernelVariant order[4] = {KernelVariant::kNaive,
-                                  KernelVariant::kBlocked, KernelVariant::kSimd,
-                                  KernelVariant::kSimdStrict};
+                const std::string& shape, double flops,
+                const double bytes[kVariants], double keff, int reps,
+                Matrix& out, Fn&& run, FnAbs&& run_abs) {
+  const KernelVariant order[kVariants] = {KernelVariant::kNaive,
+                                          KernelVariant::kSimd,
+                                          KernelVariant::kSimdStrict};
   set_kernel_variant(KernelVariant::kNaive);
   run_abs();
   const Matrix absref = out;
 
-  double secs[4];
+  double secs[kVariants];
   bool bits_ok = true, ulp_ok = true;
   Matrix ref;
-  for (int v = 0; v < 4; ++v) {
+  for (int v = 0; v < kVariants; ++v) {
     set_kernel_variant(order[v]);
     secs[v] = time_median(reps, run);
     if (order[v] == KernelVariant::kNaive) {
@@ -170,7 +173,7 @@ bool bench_case(std::vector<Row>& rows, const std::string& kernel,
       bits_ok &= bitwise_equal(ref, out);
     }
   }
-  for (int v = 0; v < 4; ++v) {
+  for (int v = 0; v < kVariants; ++v) {
     Row r{kernel, shape, to_string(order[v])};
     r.seconds = secs[v];
     r.gflops = flops / secs[v] * 1e-9;
@@ -179,10 +182,9 @@ bool bench_case(std::vector<Row>& rows, const std::string& kernel,
     rows.push_back(r);
   }
   std::printf(
-      "%-16s %-18s naive %7.2f  blocked %7.2f  simd %7.2f  strict %7.2f "
-      "GF/s  %s %s\n",
+      "%-16s %-18s naive %7.2f  simd %7.2f  strict %7.2f GF/s  %s %s\n",
       kernel.c_str(), shape.c_str(), flops / secs[0] * 1e-9,
-      flops / secs[1] * 1e-9, flops / secs[2] * 1e-9, flops / secs[3] * 1e-9,
+      flops / secs[1] * 1e-9, flops / secs[2] * 1e-9,
       bits_ok ? "bits ok" : "BIT MISMATCH", ulp_ok ? "ulp ok" : "ULP FAIL");
   return bits_ok && ulp_ok;
 }
@@ -201,7 +203,7 @@ int main(int argc, char** argv) {
   const bool quick = cli.has("quick");
   const std::string out_path = cli.get("out", "BENCH_kernels.json");
 
-  bench::print_header("Kernel microbenchmarks: naive vs tiled/simd variants",
+  bench::print_header("Kernel microbenchmarks: naive vs simd variants",
                       "perf companion to the Section IV complexity model");
   std::printf("threads = %d, reps = %d%s, isa = %s, autotune: %s\n\n", threads,
               reps, quick ? " (--quick shapes)" : "", simd::simd_isa_name(),
@@ -211,8 +213,7 @@ int main(int argc, char** argv) {
   bool all_ok = true;
 
   // Dense GEMM reference shapes. Gaussian inputs have no exact zeros, so the
-  // naive kernels' zero-skip never fires and blocked/simd-strict must match
-  // bitwise.
+  // naive kernels' zero-skip never fires and simd-strict must match bitwise.
   const std::vector<Index> gemm_sizes =
       quick ? std::vector<Index>{128} : std::vector<Index>{256, 512};
   for (const Index n : gemm_sizes) {
@@ -223,7 +224,7 @@ int main(int argc, char** argv) {
     Matrix c(n, n);
     const double flops = 2.0 * n * n * n;
     const double bytes1 = 8.0 * (3.0 * n * n + n * n);  // A + B + C in/out
-    const double bytes[4] = {bytes1, bytes1, bytes1, bytes1};
+    const double bytes[kVariants] = {bytes1, bytes1, bytes1};
     const double keff = static_cast<double>(n);
 
     all_ok &= bench_case(
@@ -239,8 +240,8 @@ int main(int argc, char** argv) {
         [&] { gemm(c, aa, ab, 1.0, 0.0, Trans::kNo, Trans::kYes); });
   }
 
-  // Sparse kernels: an n x n givens spray, k dense columns. The blocked and
-  // simd variants amortize the pass over A's value/index arrays across
+  // Sparse kernels: an n x n givens spray, k dense columns. The simd
+  // variants amortize the pass over A's value/index arrays across
   // kSpmmNb output columns — reflected in the bytes-moved model below. The
   // win appears once that stream outgrows the last-level cache, so the
   // reference matrix is deliberately dense-ish and large (~26M nonzeros;
@@ -266,7 +267,7 @@ int main(int argc, char** argv) {
     Matrix c;
     const double bn = apass * groups_naive + dense_io;
     const double bq = apass * groups_quad + dense_io;
-    const double bytes[4] = {bn, bq, bq, bq};
+    const double bytes[kVariants] = {bn, bq, bq};
     all_ok &= bench_case(
         rows, "spmm", shape3(sn, sn, sk), sflops, bytes,
         static_cast<double>(max_row_nnz(s)), reps, c,
@@ -280,7 +281,7 @@ int main(int argc, char** argv) {
     const Matrix b = Matrix::gaussian(sk, sn, 7);
     const Matrix ab = abs_matrix(b);
     Matrix c;
-    // naive/blocked stream a B column per nonzero; the simd row-panel packs
+    // naive streams a B column per nonzero; the simd row-panel packs
     // B once and re-reads A per panel (C rmw is charged once in both — it
     // stays cache-resident within a column).
     const Index ib = std::min<Index>(kernel_config().dtc.ib,
@@ -289,7 +290,7 @@ int main(int argc, char** argv) {
     const double bstream = apass + 8.0 * sk * nnz + 2.0 * 8.0 * sk * sn;
     const double bpanel =
         apass * npanels + 8.0 * sk * sn + 2.0 * 8.0 * sk * sn;
-    const double bytes[4] = {bstream, bstream, bpanel, bpanel};
+    const double bytes[kVariants] = {bstream, bpanel, bpanel};
     all_ok &= bench_case(
         rows, "dense_times_csc", shape3(sk, sn, sn), sflops, bytes,
         static_cast<double>(max_col_nnz(s)), reps, c,

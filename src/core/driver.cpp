@@ -1,6 +1,7 @@
 #include "core/driver.hpp"
 
 #include <cmath>
+#include <cstdio>
 #include <stdexcept>
 
 #include "dense/blas.hpp"
@@ -166,7 +167,29 @@ RandUbvOptions randubv_options(const ApproxOptions& opts) {
   return o;
 }
 
+std::string validate(const ApproxOptions& opts, long long nranks) {
+  auto fail = [](const std::string& rule, const std::string& got) {
+    return rule + ", got " + got;
+  };
+  // !(x >= 0) also catches NaN, which compares false both ways.
+  if (!(opts.tau >= 0.0)) {
+    char buf[32];
+    std::snprintf(buf, sizeof buf, "%g", opts.tau);
+    return fail("tau must be >= 0", buf);
+  }
+  if (opts.block_size < 1)
+    return fail("block size must be >= 1", std::to_string(opts.block_size));
+  if (opts.power < 0)
+    return fail("power must be >= 0", std::to_string(opts.power));
+  if (nranks < 0 || nranks > kMaxRanks)
+    return fail("nranks must be in [0, " + std::to_string(kMaxRanks) + "]",
+                std::to_string(nranks));
+  return "";
+}
+
 LowRankApprox approximate(const CscMatrix& a, const ApproxOptions& opts) {
+  if (const std::string err = validate(opts); !err.empty())
+    throw std::invalid_argument("approximate: " + err);
   ApproxOptions o = opts;
   o.method = choose_method(a, opts);
 

@@ -42,6 +42,24 @@ struct ApproxOptions {
   ColamdMode colamd = ColamdMode::kFirst;  ///< deterministic methods only
 };
 
+/// Most simulated ranks any entry point accepts. Every rank is an OS thread
+/// carrying per-peer counters (about 72 P^2 bytes over the world), so 1024
+/// ranks cost ~75 MB of counters, while an unchecked P = 100000 would end in
+/// std::bad_alloc.
+inline constexpr int kMaxRanks = 1024;
+
+/// The one option check at the library boundary, shared by approximate(),
+/// `lra_cli approx` and repro replay, run before any rank thread starts.
+/// `nranks` is the simulated rank count, 0 for a sequential run.
+///
+/// Rejected: tau NaN or < 0, block_size < 1, power < 0, nranks < 0 or
+/// > kMaxRanks. Legal on purpose: tau == 0 ("run to the rank budget"), and
+/// nranks above the row count (the extra ranks own empty slices).
+///
+/// @return "" when valid, else one line naming the field, the rule and the
+///         offending value (e.g. "tau must be >= 0, got nan").
+std::string validate(const ApproxOptions& opts, long long nranks = 0);
+
 /// Uniform handle over any of the method-specific results.
 ///
 /// Value-semantic: owns the factors of whichever method ran (a variant of
@@ -118,6 +136,7 @@ Method choose_method_dist(const CscMatrix& a, const ApproxOptions& opts);
 ///
 /// @param a     Input matrix; read-only, not retained after the call.
 /// @param opts  See ApproxOptions; kAuto picks the method via choose_method().
+/// @throws std::invalid_argument when validate(opts) fails.
 /// @return A self-contained LowRankApprox with status(), factors, and
 ///         telemetry; check status() == Status::kConverged before trusting
 ///         indicator_rel() <= tau.

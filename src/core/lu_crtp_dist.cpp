@@ -531,7 +531,7 @@ DistLuResult lu_crtp_dist(const CscMatrix& a, const LuCrtpOptions& opts,
     }
     if (indicator < target) status = Status::kConverged;
 
-    // --- Gather factors to rank 0 (not part of the timed algorithm) ---
+    // --- Gather factors to rank 0 (charged, like RandQB_EI's assemble) ---
     // U triplets and surviving column ids; one rank already holds them all.
     PhaseScope assemble_phase(ctx, "assemble");
     std::vector<Triplet> all_u;

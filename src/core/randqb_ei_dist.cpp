@@ -185,8 +185,9 @@ DistRandQbResult randqb_ei_dist(const CscMatrix& a, const RandQbOptions& opts,
       }
     }
 
-    // Assemble the factors (not charged to the parallel runtime: the paper's
-    // runtimes exclude final I/O-style gathers as well).
+    // Assemble the factors on rank 0. The gathers are charged: spmd::run
+    // reads the virtual makespan after the body returns, so they are part of
+    // virtual_seconds and of the profile's "assemble" phase.
     PhaseScope assemble_phase(ctx, "assemble");
     Matrix q = spmd::gather_rows(ctx, std::move(q_loc), m, /*root=*/0);
     Matrix b = spmd::gather_cols(ctx, std::move(b_loc), n, /*root=*/0);

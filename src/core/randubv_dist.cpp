@@ -155,7 +155,7 @@ DistRandUbvResult randubv_dist(const CscMatrix& a, const RandUbvOptions& opts,
       vj_loc = std::move(vnext_loc);
     }
 
-    // Gather factors (not charged; see the RandQB_EI body).
+    // Gather factors (charged; see the RandQB_EI body).
     PhaseScope assemble_phase(ctx, "assemble");
     Matrix u = spmd::gather_rows(ctx, std::move(u_loc), m, /*root=*/0);
     Matrix v = spmd::gather_rows(ctx, std::move(v_loc), n, /*root=*/0);

@@ -1,33 +1,25 @@
 #pragma once
 // BLAS-like dense kernels on column-major Matrix. Hand-written (no external
-// BLAS in this environment). Two GEMM implementations are compiled:
+// BLAS in this environment). support/kernel_variant.hpp picks the GEMM at
+// runtime:
 //
-//   * naive   — the seed kernels: cache-blocked j-k-i rank-1 updates whose
-//               inner loop is a contiguous axpy.
-//   * blocked — packed and register-tiled: each (kGemmMc x kGemmKc) A-panel
-//               is packed once into per-thread workspace scratch, and a
-//               kGemmMr x kGemmNr register tile accumulates with sequential
-//               k innermost.
+//   * naive       — the seed kernels: cache-blocked j-k-i rank-1 updates
+//                   whose inner loop is a contiguous axpy.
+//   * simd        — packed, register-tiled vector kernels with autotuned
+//                   geometry and hardware FMA where the ISA has it.
+//   * simd-strict — the same kernels on the two-rounding mul+add chain
+//                   (nn/nt), and whole-k scalar dots for A^T*B.
 //
-// support/kernel_variant.hpp selects between them at runtime. Both variants
-// tile only over output rows/columns and never split a k reduction, so each
-// output element accumulates its k terms in the same ascending order; for
-// inputs free of exact zeros and non-finite values they produce
-// bitwise-identical results at any thread count (see ARCHITECTURE.md,
-// "Kernel layer").
+// Every variant tiles only over output rows/columns and never splits a k
+// reduction, so results are bitwise identical at any thread count, and
+// simd-strict is bitwise identical to naive for inputs free of exact zeros
+// and non-finite values (see ARCHITECTURE.md, "The kernel layer").
 
 #include "dense/matrix.hpp"
 
 namespace lra {
 
 enum class Trans { kNo, kYes };
-
-/// Blocked-GEMM tile geometry, exported so the identity tests can target
-/// remainder-heavy shapes around the tile edges.
-inline constexpr Index kGemmMc = 128;  ///< rows per packed A-panel
-inline constexpr Index kGemmKc = 256;  ///< k-slab depth per packed A-panel
-inline constexpr Index kGemmMr = 8;    ///< register-tile rows
-inline constexpr Index kGemmNr = 4;    ///< register-tile columns
 
 /// C = alpha * op(A) * op(B) + beta * C. Shapes must conform; C must already
 /// have the result shape.

@@ -39,7 +39,7 @@ inline constexpr std::string_view kPhaseTaxonomy[] = {
     "solve_a21",    // X = A21 A11^{-1} scattered solve + allgather
     "schur",        // Schur-complement update
     "threshold",    // ILUT / budgeted dropping
-    "assemble",     // final factor gathers (not charged to the solve)
+    "assemble",     // final factor gathers (charged to the solve)
 };
 
 /// True when `name` appears in the documented taxonomy.

@@ -15,20 +15,9 @@
 namespace lra::sim {
 namespace {
 
-ApproxOptions approx_opts(const ReproConfig& c) {
-  ApproxOptions o;
-  o.method = c.method;
-  o.block_size = c.block_size;
-  o.tau = c.tau;
-  o.power = c.power;
-  o.seed = c.solver_seed;
-  o.max_rank = c.max_rank;
-  return o;
-}
-
-RandQbOptions qb_opts(const ReproConfig& c) { return randqb_options(approx_opts(c)); }
-LuCrtpOptions lu_opts(const ReproConfig& c) { return lu_crtp_options(approx_opts(c)); }
-RandUbvOptions ubv_opts(const ReproConfig& c) { return randubv_options(approx_opts(c)); }
+RandQbOptions qb_opts(const ReproConfig& c) { return randqb_options(approx_options(c)); }
+LuCrtpOptions lu_opts(const ReproConfig& c) { return lu_crtp_options(approx_options(c)); }
+RandUbvOptions ubv_opts(const ReproConfig& c) { return randubv_options(approx_options(c)); }
 
 template <typename R>
 void fill_decisions(SolverDigest& d, const R& r) {

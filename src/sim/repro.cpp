@@ -3,6 +3,7 @@
 #include <cctype>
 #include <cstdlib>
 #include <fstream>
+#include <limits>
 #include <map>
 #include <sstream>
 #include <stdexcept>
@@ -93,6 +94,16 @@ long long to_int(const std::string& key, const std::string& v) {
   return x;
 }
 
+// An int field: rejected outside int range instead of narrowed, so that
+// 2^32 + 1 cannot wrap to 1 and slip past validate().
+int to_int32(const std::string& key, const std::string& v) {
+  const long long x = to_int(key, v);
+  if (x < std::numeric_limits<int>::min() ||
+      x > std::numeric_limits<int>::max())
+    malformed("value out of int range for " + key + ": " + v);
+  return static_cast<int>(x);
+}
+
 std::uint64_t to_u64(const std::string& key, const std::string& v) {
   char* end = nullptr;
   const unsigned long long x = std::strtoull(v.c_str(), &end, 10);
@@ -101,6 +112,17 @@ std::uint64_t to_u64(const std::string& key, const std::string& v) {
 }
 
 }  // namespace
+
+ApproxOptions approx_options(const ReproConfig& c) {
+  ApproxOptions o;
+  o.method = c.method;
+  o.block_size = c.block_size;
+  o.tau = c.tau;
+  o.power = c.power;
+  o.seed = c.solver_seed;
+  o.max_rank = c.max_rank;
+  return o;
+}
 
 CscMatrix build_matrix(const ReproConfig& c) {
   return make_preset(c.matrix, c.scale, c.matrix_seed).a;
@@ -141,13 +163,13 @@ ReproConfig repro_from_json(const std::string& json) {
     } else if (key == "block_size") {
       c.block_size = static_cast<Index>(to_int(key, v));
     } else if (key == "power") {
-      c.power = static_cast<int>(to_int(key, v));
+      c.power = to_int32(key, v);
     } else if (key == "solver_seed") {
       c.solver_seed = to_u64(key, v);
     } else if (key == "max_rank") {
       c.max_rank = static_cast<Index>(to_int(key, v));
     } else if (key == "nranks") {
-      c.nranks = static_cast<int>(to_int(key, v));
+      c.nranks = to_int32(key, v);
     } else if (key == "alpha") {
       c.cost.alpha = to_double(key, v);
     } else if (key == "beta") {
@@ -164,7 +186,9 @@ ReproConfig repro_from_json(const std::string& json) {
   if (c.method == Method::kAuto)
     malformed("method must be explicit in a repro file, not \"auto\"");
   if (c.nranks < 1) malformed("nranks must be >= 1");
-  if (c.block_size < 1) malformed("block_size must be >= 1");
+  if (const std::string err = validate(approx_options(c), c.nranks);
+      !err.empty())
+    malformed(err);
   if (!(c.scale > 0.0)) malformed("scale must be > 0");
   c.fault_plan();  // validate the spec eagerly (throws on a bad clause)
   return c;

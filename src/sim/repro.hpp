@@ -51,6 +51,10 @@ struct ReproConfig {
   }
 };
 
+/// The solver options of `c` as driver options (method, tau, block size,
+/// power, seed, rank budget).
+ApproxOptions approx_options(const ReproConfig& c);
+
 /// Build the config's test matrix from its preset recipe.
 CscMatrix build_matrix(const ReproConfig& c);
 
@@ -58,7 +62,8 @@ CscMatrix build_matrix(const ReproConfig& c);
 std::string to_json(const ReproConfig& c);
 
 /// Inverse of to_json. Unknown keys are rejected; missing keys keep their
-/// defaults. @throws std::invalid_argument on malformed input.
+/// defaults; the solver options and rank count must pass lra::validate().
+/// @throws std::invalid_argument on malformed input.
 ReproConfig repro_from_json(const std::string& json);
 
 /// File round trip. @throws std::runtime_error on I/O failure,

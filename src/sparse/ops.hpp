@@ -9,11 +9,11 @@
 // SimWorld ranks the kernels always degrade to serial loops so the
 // virtual-time accounting is unaffected.
 //
-// Variants: the SpMM family has two selectable implementations
-// (support/kernel_variant.hpp). The blocked variant processes NB output
-// columns per pass over A's index/value arrays (SpMM/SpMM^T) or row-blocks
-// the scatter (dense x CSC); each output element still accumulates its terms
-// in the seed order, so blocked and naive are bitwise identical on every
+// Variants (support/kernel_variant.hpp): naive runs the seed column loops.
+// simd and simd-strict process NB output columns per pass over A's
+// index/value arrays (SpMM/SpMM^T) or sweep packed row panels of the dense
+// operand (dense x CSC). Each output element still accumulates its terms in
+// the seed order, so simd-strict and naive are bitwise identical on every
 // input — the identity tests assert exactly that.
 //
 // Allocation: the `_into` entry points reshape a caller-owned output buffer

@@ -47,10 +47,6 @@ bool parse_kernel_variant(std::string_view text, KernelVariant* out) {
     *out = KernelVariant::kNaive;
     return true;
   }
-  if (text == "blocked") {
-    *out = KernelVariant::kBlocked;
-    return true;
-  }
   if (text == "simd") {
     *out = KernelVariant::kSimd;
     return true;
@@ -66,8 +62,6 @@ const char* to_string(KernelVariant v) {
   switch (v) {
     case KernelVariant::kNaive:
       return "naive";
-    case KernelVariant::kBlocked:
-      return "blocked";
     case KernelVariant::kSimd:
       return "simd";
     case KernelVariant::kSimdStrict:

@@ -3,7 +3,6 @@
 // sparse/ops.cpp:
 //
 //   naive       — the seed loops; the bitwise reference.
-//   blocked     — PR 4's packed / register-tiled rewrites (scalar code).
 //   simd        — the vectorized kernels on support/simd.hpp, using hardware
 //                 FMA where the build's ISA has it. Deterministic (same
 //                 input, same bits at any thread count / tile config), but
@@ -20,23 +19,23 @@
 // variable, then the simd default.
 //
 // For inputs free of non-finite values and exact-zero entries in the dense
-// operands, naive / blocked / simd-strict produce bitwise-identical results
+// operands, naive and simd-strict produce bitwise-identical results
 // at any thread count (see the determinism notes in ARCHITECTURE.md): these
 // kernels tile only over output rows/columns and never split a k-reduction,
 // so each output element accumulates its terms in exactly the seed kernel's
 // order. The one behavioural difference is that the seed GEMM/SpMM skip
 // multiply-adds whose dense multiplier is exactly 0.0, which can flip a
-// -0.0 or suppress a NaN on degenerate inputs; simd (like blocked's interior
-// tiles) multiplies through instead.
+// -0.0 or suppress a NaN on degenerate inputs; simd and simd-strict multiply
+// through instead.
 
 #include <string_view>
 
 namespace lra {
 
-enum class KernelVariant { kNaive, kBlocked, kSimd, kSimdStrict };
+enum class KernelVariant { kNaive, kSimd, kSimdStrict };
 
 /// All accepted --kernel-variant / LRA_KERNEL_VARIANT spellings.
-inline constexpr char kKernelVariantNames[] = "naive|blocked|simd|simd-strict";
+inline constexpr char kKernelVariantNames[] = "naive|simd|simd-strict";
 
 /// Active variant (cached; first call consults LRA_KERNEL_VARIANT).
 KernelVariant kernel_variant();
@@ -45,7 +44,7 @@ KernelVariant kernel_variant();
 /// calls; not synchronized with kernels already running on the pool.
 void set_kernel_variant(KernelVariant v);
 
-/// "naive" / "blocked" / "simd" / "simd-strict" -> enum; false otherwise.
+/// "naive" / "simd" / "simd-strict" -> enum; false otherwise.
 bool parse_kernel_variant(std::string_view text, KernelVariant* out);
 
 const char* to_string(KernelVariant v);

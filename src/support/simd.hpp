@@ -39,8 +39,8 @@
 // micro-kernels. At -O2 GCC leaves those loops rolled, which keeps the
 // accumulator arrays on the stack instead of in ymm registers and roughly
 // halves GEMM throughput; the pragma (unlike a file-wide -O3/-funroll-loops,
-// which degrades the scalar blocked micro-kernels) scopes the fix to exactly
-// the loops that need it. 16 bounds every micro-tile dimension in use.
+// which would also reshape every scalar loop in the TU) scopes the fix to
+// exactly the loops that need it. 16 bounds every micro-tile dimension in use.
 #if defined(__clang__)
 #define LRA_UNROLL _Pragma("unroll")
 #elif defined(__GNUC__)

@@ -15,8 +15,9 @@ namespace {
 using testing::naive_matmul;
 using testing::random_matrix;
 
-// Parameterized over (m, k, n) shapes including degenerate and blocked-path
-// sizes (the GEMM uses 256-sized panels, so cross the boundary).
+// Parameterized over (m, k, n) shapes including degenerate and
+// panel-crossing sizes (the GEMMs use 256-sized panels, so cross the
+// boundary).
 class GemmShapes : public ::testing::TestWithParam<std::tuple<int, int, int>> {};
 
 TEST_P(GemmShapes, MatmulMatchesNaive) {

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <string>
+
 #include "gen/givens_spray.hpp"
 #include "gen/spectrum.hpp"
 #include "sparse/ops.hpp"
@@ -100,6 +103,69 @@ TEST(Driver, FactorValuesReflectSparsity) {
   const LowRankApprox qb = approximate(a, dense_o);
   const LowRankApprox il = approximate(a, sparse_o);
   EXPECT_LT(il.factor_values(), qb.factor_values());
+}
+
+// validate(): one regression test per option that used to run anyway.
+
+TEST(Driver, ValidateRejectsNanTau) {
+  // `--tau=nan` ran to full rank and exited 0.
+  ApproxOptions o;
+  o.tau = std::nan("");
+  EXPECT_EQ(validate(o), "tau must be >= 0, got nan");
+}
+
+TEST(Driver, ValidateRejectsNegativeTau) {
+  ApproxOptions o;
+  o.tau = -1e-3;
+  EXPECT_EQ(validate(o), "tau must be >= 0, got -0.001");
+}
+
+TEST(Driver, ValidateRejectsNegativePower) {
+  // `--p=-1` was accepted.
+  ApproxOptions o;
+  o.power = -1;
+  EXPECT_EQ(validate(o), "power must be >= 0, got -1");
+}
+
+TEST(Driver, ValidateRejectsNonPositiveBlockSize) {
+  ApproxOptions o;
+  o.block_size = 0;
+  EXPECT_EQ(validate(o), "block size must be >= 1, got 0");
+}
+
+TEST(Driver, ValidateRejectsNegativeRanks) {
+  // `--np=-3` silently ran sequentially.
+  EXPECT_EQ(validate(ApproxOptions{}, -3),
+            "nranks must be in [0, " + std::to_string(kMaxRanks) +
+                "], got -3");
+}
+
+TEST(Driver, ValidateRejectsRanksAboveCeiling) {
+  // `--np=100000` ended in std::bad_alloc. Checked without starting a world.
+  EXPECT_EQ(validate(ApproxOptions{}, kMaxRanks), "");
+  EXPECT_NE(validate(ApproxOptions{}, kMaxRanks + 1), "");
+  EXPECT_NE(validate(ApproxOptions{}, 100000), "");
+}
+
+TEST(Driver, ValidateKeepsZeroTauAndWideWorlds) {
+  // tau = 0 means "run to the rank budget" (fixed_rank, bench_orthogonality);
+  // more ranks than rows runs with empty slices.
+  ApproxOptions o;
+  o.tau = 0.0;
+  o.power = 0;
+  EXPECT_EQ(validate(o), "");
+  EXPECT_EQ(validate(o, 1), "");
+  EXPECT_EQ(validate(o, 64), "");  // more ranks than the matrix has rows
+}
+
+TEST(Driver, ApproximateThrowsOnInvalidOptions) {
+  const CscMatrix a = test_matrix(24);
+  ApproxOptions o;
+  o.tau = std::nan("");
+  EXPECT_THROW(approximate(a, o), std::invalid_argument);
+  o.tau = 1e-2;
+  o.power = -1;
+  EXPECT_THROW(approximate(a, o), std::invalid_argument);
 }
 
 }  // namespace

@@ -127,6 +127,23 @@ TEST(ReproJson, RejectsMalformedInput) {
                std::invalid_argument);
 }
 
+TEST(ReproJson, RejectsInvalidSolverOptions) {
+  // Replay shares lra::validate() with the driver and the CLI.
+  EXPECT_THROW(repro_from_json("{\"tau\": -1}"), std::invalid_argument);
+  EXPECT_THROW(repro_from_json("{\"power\": -1}"), std::invalid_argument);
+  EXPECT_THROW(repro_from_json("{\"nranks\": 100000}"),
+               std::invalid_argument);
+  EXPECT_NO_THROW(repro_from_json("{\"tau\": 0}"));
+}
+
+TEST(ReproJson, RejectsIntFieldsThatWouldWrap) {
+  // 2^32 + 1 narrowed to int is 1: it must fail, not replay on one rank.
+  EXPECT_THROW(repro_from_json("{\"nranks\": 4294967297}"),
+               std::invalid_argument);
+  EXPECT_THROW(repro_from_json("{\"power\": 4294967297}"),
+               std::invalid_argument);
+}
+
 TEST(ReproJson, FileRoundTrip) {
   const std::string path = ::testing::TempDir() + "repro_roundtrip.json";
   const ReproConfig c = complex_config();

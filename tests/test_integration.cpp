@@ -8,7 +8,7 @@
 #include "core/lu_crtp.hpp"
 #include "core/randqb_ei.hpp"
 #include "core/randubv.hpp"
-#include "core/tsvd.hpp"
+#include "core/termination.hpp"
 #include "dense/svd.hpp"
 #include "gen/givens_spray.hpp"
 #include "gen/presets.hpp"

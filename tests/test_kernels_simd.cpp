@@ -178,6 +178,7 @@ TEST(KernelsSimdTest, StrictGemmBitwiseIdenticalOnRemainderShapes) {
   check_strict_gemm_shape(8, 261, 3);
   check_strict_gemm_shape(3, 7, 261);
   check_strict_gemm_shape(17, 19, 23);  // coprime to every lane count
+  check_strict_gemm_shape(128, 4, 256);  // exact multiples of the default tile
 }
 
 TEST(KernelsSimdTest, StrictSparseKernelsBitwiseIdenticalAcrossWidths) {

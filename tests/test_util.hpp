@@ -16,7 +16,7 @@
 
 namespace lra::testing {
 
-/// Naive triple-loop reference GEMM for validating the blocked kernels.
+/// Naive triple-loop reference GEMM for validating the GEMM kernels.
 inline Matrix naive_matmul(const Matrix& a, const Matrix& b) {
   Matrix c(a.rows(), b.cols());
   for (Index i = 0; i < a.rows(); ++i)

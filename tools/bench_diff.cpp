@@ -19,6 +19,12 @@
 // numbers that were never commensurable. References produced before the isa
 // field existed compare as before.
 //
+// Throughput also depends on the pool width, so when both documents carry a
+// "threads" header field and the values differ the gate refuses to compare
+// them and exits 2 (bench_kernels writes the field; run it with the
+// reference's --threads). This check comes first: a width mismatch is a
+// misconfigured run, not an incommensurable machine.
+//
 // --update-ref copies the fresh run over the reference path after the gate
 // (pass or fail), which is how BENCH_kernels.json gets recommitted after an
 // intentional kernel change.
@@ -86,6 +92,18 @@ int run_gate(const lra::Cli& cli) {
 
   const JsonValue ref_doc = lra::obs::parse_json_file(ref_path);
   const JsonValue new_doc = lra::obs::parse_json_file(new_path);
+
+  // Width guard: a 4-thread run against a 1-thread reference is no signal.
+  const double ref_threads = ref_doc.number_or("threads", 0.0);
+  const double new_threads = new_doc.number_or("threads", 0.0);
+  if (ref_threads > 0.0 && new_threads > 0.0 && ref_threads != new_threads) {
+    std::fprintf(stderr,
+                 "bench_diff: threads mismatch: reference ran on %g "
+                 "thread(s), this run on %g — rerun bench_kernels with "
+                 "--threads=%g\n",
+                 ref_threads, new_threads, ref_threads);
+    return 2;
+  }
 
   // ISA guard: cross-ISA throughput diffs are meaningless, not regressions.
   const std::string ref_isa = ref_doc.string_or("isa", "");

@@ -109,31 +109,28 @@ file(WRITE ${repro} "{\"matrix\": \"M1\", \"scale\": 0.25, \"method\": \"lu_crtp
 run(${LRA_CLI} repro --file=${repro})
 run(${LRA_CLI} --repro=${repro})
 
-# Kernel-variant leg: the same approximation computed with the naive, the
-# blocked and the simd-strict kernels must serialize to byte-identical factor
-# files (randqb and lu cover the GEMM-heavy and the Schur-update paths end to
-# end; simd-strict is the vectorized variant whose contract is bitwise
-# identity with naive — `simd` is only ULP-comparable and is gated in
-# bench_kernels instead).
+# Kernel-variant leg: the same approximation computed with the naive and the
+# simd-strict kernels must serialize to byte-identical factor files (randqb
+# and lu cover the GEMM-heavy and the Schur-update paths end to end;
+# simd-strict is the vectorized variant whose contract is bitwise identity
+# with naive — `simd` is only ULP-comparable and is gated in bench_kernels
+# instead).
 foreach(method randqb lu)
   set(fact_naive ${WORK_DIR}/cli_test_${method}_naive.fact)
+  set(fact_strict ${WORK_DIR}/cli_test_${method}_simd-strict.fact)
   run(${LRA_CLI} approx --mtx=${mtx} --method=${method} --tau=1e-2
       --kernel-variant=naive --out=${fact_naive})
-  foreach(variant blocked simd-strict)
-    set(fact_variant ${WORK_DIR}/cli_test_${method}_${variant}.fact)
-    run(${LRA_CLI} approx --mtx=${mtx} --method=${method} --tau=1e-2
-        --kernel-variant=${variant} --out=${fact_variant})
-    execute_process(
-      COMMAND ${CMAKE_COMMAND} -E compare_files ${fact_naive} ${fact_variant}
-      RESULT_VARIABLE rc)
-    if(NOT rc EQUAL 0)
-      message(FATAL_ERROR
-              "${method}: naive and ${variant} kernel variants produced "
-              "different factor files (${fact_naive} vs ${fact_variant})")
-    endif()
-    file(REMOVE ${fact_variant})
-  endforeach()
-  file(REMOVE ${fact_naive})
+  run(${LRA_CLI} approx --mtx=${mtx} --method=${method} --tau=1e-2
+      --kernel-variant=simd-strict --out=${fact_strict})
+  execute_process(
+    COMMAND ${CMAKE_COMMAND} -E compare_files ${fact_naive} ${fact_strict}
+    RESULT_VARIABLE rc)
+  if(NOT rc EQUAL 0)
+    message(FATAL_ERROR
+            "${method}: naive and simd-strict kernel variants produced "
+            "different factor files (${fact_naive} vs ${fact_strict})")
+  endif()
+  file(REMOVE ${fact_naive} ${fact_strict})
 endforeach()
 
 # One body per method: a sequential solve is the SPMD body run as one rank,
@@ -199,16 +196,57 @@ if(NOT rc EQUAL 0)
 endif()
 file(REMOVE ${fact_default} ${fact_tuned} ${tune_cache})
 
-# A bad variant must be rejected with the usage exit code, not run.
+# A bad variant must be rejected with the usage exit code, not run; so must
+# the retired `blocked` spelling.
+foreach(bad fast blocked)
+  execute_process(
+    COMMAND ${LRA_CLI} approx --mtx=${mtx} --tau=1e-2 --kernel-variant=${bad}
+    RESULT_VARIABLE rc OUTPUT_VARIABLE out ERROR_VARIABLE err)
+  if(NOT rc EQUAL 2)
+    message(FATAL_ERROR
+            "--kernel-variant=${bad} exited ${rc}, expected 2:\n${err}")
+  endif()
+  string(FIND "${err}" "expected naive|simd|simd-strict)" found)
+  if(found EQUAL -1)
+    message(FATAL_ERROR
+            "--kernel-variant=${bad} did not explain itself:\n${err}")
+  endif()
+endforeach()
+# The environment spelling is not fatal (it may be set machine-wide): the
+# retired name warns with the accepted list and falls back to simd.
 execute_process(
-  COMMAND ${LRA_CLI} approx --mtx=${mtx} --tau=1e-2 --kernel-variant=fast
+  COMMAND ${CMAKE_COMMAND} -E env LRA_KERNEL_VARIANT=blocked
+          ${LRA_CLI} approx --mtx=${mtx} --tau=1e-2
   RESULT_VARIABLE rc OUTPUT_VARIABLE out ERROR_VARIABLE err)
-if(NOT rc EQUAL 2)
-  message(FATAL_ERROR "--kernel-variant=fast exited ${rc}, expected 2:\n${err}")
+string(FIND "${err}" "(naive|simd|simd-strict); using simd" found)
+if(NOT rc EQUAL 0 OR found EQUAL -1)
+  message(FATAL_ERROR "LRA_KERNEL_VARIANT=blocked (${rc}):\n${err}")
 endif()
-string(FIND "${err}" "expected naive|blocked|simd|simd-strict" found)
-if(found EQUAL -1)
-  message(FATAL_ERROR "--kernel-variant=fast did not explain itself:\n${err}")
+
+# Invalid solver options are rejected by lra::validate() with the usage exit
+# code before any work starts: they used to run to full rank (tau), be
+# accepted (power) or silently run sequentially (np).
+foreach(bad "--tau=nan" "--tau=-1" "--p=-1" "--p=4294967297" "--np=-3")
+  execute_process(
+    COMMAND ${LRA_CLI} approx --mtx=${mtx} ${bad}
+    RESULT_VARIABLE rc OUTPUT_VARIABLE out ERROR_VARIABLE err TIMEOUT 60)
+  if(NOT rc EQUAL 2)
+    message(FATAL_ERROR "approx ${bad} exited ${rc}, expected 2:\n${out}${err}")
+  endif()
+  string(FIND "${err}" "error: invalid option:" found)
+  if(found EQUAL -1)
+    message(FATAL_ERROR "approx ${bad} did not explain itself:\n${err}")
+  endif()
+endforeach()
+set(bad_repro ${WORK_DIR}/cli_test_bad_repro.json)
+file(WRITE ${bad_repro} "{\"method\": \"lu_crtp\", \"tau\": -1}\n")
+execute_process(
+  COMMAND ${LRA_CLI} repro --file=${bad_repro}
+  RESULT_VARIABLE rc OUTPUT_VARIABLE out ERROR_VARIABLE err TIMEOUT 60)
+file(REMOVE ${bad_repro})
+string(FIND "${err}" "tau must be >= 0" found)
+if(NOT rc EQUAL 2 OR found EQUAL -1)
+  message(FATAL_ERROR "repro with tau=-1 exited ${rc}, expected 2:\n${err}")
 endif()
 
 # --threads=0 must not be UB: the CLI warns on stderr and runs on 1 worker.

@@ -23,6 +23,9 @@
 //       --profile prints a post-run causal profile (per-phase attribution,
 //       critical path, what-if projections) and implies --np; with --report
 //       the profile/profile_rank/profile_phase records are appended too.
+//       Options go through lra::validate() first: a NaN or negative --tau,
+//       --k < 1, a negative or out-of-int-range --p, or --np outside
+//       [0, 1024] exits 2.
 //   lra_cli profile --trace=trace.json [--report=prof.jsonl] [--run=LABEL]
 //       Re-analyze a Chrome trace written by `approx --trace=...`: rebuild
 //       the event DAG, attribute every virtual second per rank to
@@ -32,7 +35,8 @@
 //   lra_cli repro --file=case.json [--out=shrunk.json]
 //       Re-execute a differential-oracle repro file dumped by the harness
 //       (also spelled `lra_cli --repro=case.json`). Exit 0 when the oracle
-//       passes, 1 when the recorded failure reproduces; --out re-shrinks
+//       passes, 1 when the recorded failure reproduces, 2 when the file is
+//       malformed or its options fail lra::validate(); --out re-shrinks
 //       the config and writes the minimal failing variant.
 //
 //   Every subcommand accepts --threads=N to size the shared-memory kernel
@@ -40,8 +44,8 @@
 //   negative values warn and fall back to 1). With --np=2 or more, simulated
 //   ranks compute single-threaded per rank so virtual times stay comparable.
 //   Every subcommand also accepts
-//   --kernel-variant=naive|blocked|simd|simd-strict to pick the
-//   compute-kernel implementations (default: LRA_KERNEL_VARIANT or simd);
+//   --kernel-variant=naive|simd|simd-strict to pick the compute-kernel
+//   implementations (default: LRA_KERNEL_VARIANT or simd);
 //   `naive` selects the reference loops for differential checks and
 //   `simd-strict` the vectorized kernels that stay bitwise identical to them.
 //   lra_cli verify --mtx=a.mtx --fact=fact.bin
@@ -164,12 +168,18 @@ DistDigest digest(DistResult&& d) {
 
 int cmd_approx(const Cli& cli) {
   const std::string mtx = cli.get("mtx", "");
-  const CscMatrix a = read_matrix_market(mtx);
   ApproxOptions o;
   o.method = method_from_string(cli.get("method", "auto"));
   o.tau = cli.get_double("tau", 1e-3);
   o.block_size = cli.get_int("k", 32);
-  o.power = static_cast<int>(cli.get_int("p", 1));
+  const long long p_arg = cli.get_int("p", 1);
+  // Narrowing 2^32 + 1 to int would give 1; reject instead of wrapping.
+  if (p_arg != static_cast<int>(p_arg)) {
+    std::fprintf(stderr, "error: invalid option: power out of int range, "
+                 "got %lld\n", p_arg);
+    return 2;
+  }
+  o.power = static_cast<int>(p_arg);
 
   const std::string trace_path = cli.get("trace", "");
   const std::string report_path = cli.get("report", "");
@@ -179,8 +189,13 @@ int cmd_approx(const Cli& cli) {
   // --profile imply the distributed path.
   const bool needs_np = !trace_path.empty() || !fault_spec.empty() ||
                         want_profile;
-  int np = static_cast<int>(cli.get_int("np", needs_np ? 4 : 0));
-  if (np < 0) np = 0;
+  const long long np_arg = cli.get_int("np", needs_np ? 4 : 0);
+  if (const std::string err = validate(o, np_arg); !err.empty()) {
+    std::fprintf(stderr, "error: invalid option: %s\n", err.c_str());
+    return 2;
+  }
+  const int np = static_cast<int>(np_arg);
+  const CscMatrix a = read_matrix_market(mtx);
   SimOptions sim;
   sim.faults = fault_spec.empty() ? sim::FaultPlan{}
                                   : sim::parse_fault_spec(fault_spec);
@@ -361,7 +376,14 @@ int cmd_profile(const Cli& cli) {
 }
 
 int run_repro_file(const std::string& path, const std::string& shrink_out) {
-  const sim::ReproConfig cfg = sim::load_repro_file(path);
+  sim::ReproConfig cfg;
+  try {
+    cfg = sim::load_repro_file(path);
+  } catch (const std::invalid_argument& e) {
+    // Malformed content or invalid options: a usage error, like a bad flag.
+    std::fprintf(stderr, "error: %s: %s\n", path.c_str(), e.what());
+    return 2;
+  }
   std::printf("repro     : %s\n", path.c_str());
   std::printf("config    : %s\n", sim::to_json(cfg).c_str());
   const sim::OracleReport rep = sim::run_differential_oracle(cfg);
